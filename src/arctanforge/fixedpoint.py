@@ -15,8 +15,9 @@ until |t| <= 1/2; the rewrite is valid for every real t and at most a
 handful of steps are needed regardless of magnitude, after which the
 series Sum (-1)^k t^(2k+1) / (2k+1) converges geometrically (ratio <= ~1/4).
 
-pi itself comes from 20*arctan(1/7) + 8*arctan(3/79); the identity behind
-it is proved exactly by the verifier before this module's value is trusted.
+pi itself comes from Euler's 5*arctan(1/7) + 2*arctan(3/79) = pi/4
+(``_PI_BOOTSTRAP``); the exact fold proves that identity before the first
+interval pi is built, so no numeric result feeds the exact path.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ import functools
 from fractions import Fraction
 from math import isqrt
 
+from .odot import fold_terms
 from .values import Surd, Value
 
 __all__ = ["FixedPointContext", "pi_interval"]
+
+# (coeff, arg) terms of Euler's identity, summing to pi/4.
+_PI_BOOTSTRAP = ((5, Fraction(1, 7)), (2, Fraction(3, 79)))
 
 Interval = tuple[int, int]
 
@@ -152,9 +157,18 @@ class FixedPointContext:
         return self.mul_int(acc, 1 << doublings)
 
 
+@functools.cache
+def _prove_pi_bootstrap() -> None:
+    if fold_terms(_PI_BOOTSTRAP).to_pi_multiple() != Fraction(1, 4):
+        raise RuntimeError("the pi bootstrap identity failed its exact check")
+
+
 @functools.lru_cache(maxsize=8)
 def pi_interval(wp: int) -> Interval:
+    _prove_pi_bootstrap()
     ctx = FixedPointContext(wp)
-    a = ctx.atan(ctx.from_fraction(Fraction(1, 7)))
-    b = ctx.atan(ctx.from_fraction(Fraction(3, 79)))
-    return ctx.add(ctx.mul_int(a, 20), ctx.mul_int(b, 8))
+    quarter: Interval = (0, 0)
+    for coeff, arg in _PI_BOOTSTRAP:
+        arm = ctx.atan(ctx.from_fraction(arg))
+        quarter = ctx.add(quarter, ctx.mul_int(arm, coeff))
+    return ctx.mul_int(quarter, 4)

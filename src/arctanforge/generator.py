@@ -167,6 +167,21 @@ def _winding_literal_at(n: int, x: Value, wp: int) -> tuple[int, Fraction] | Non
     return sgn * (fl + chi), Fraction(T[0] + T[1], 2 * ctx.scale)
 
 
+def _winding_literal(n: int, x) -> tuple[int, Fraction]:
+    # (k, T) at the first wp that classifies T, doubling wp up to a cap
+    x = as_value(x)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    _reject_unit(x, "x")
+    wp = 40
+    while wp <= 40 * 2**12:
+        hit = _winding_literal_at(n, x, wp)
+        if hit is not None:
+            return hit
+        wp *= 2
+    raise RuntimeError(f"could not classify T for n={n}, x={x}")
+
+
 def winding_correction_literal(n: int, x) -> int:
     """k via the characteristic-function formula
     sign(n*A(1/x) - pi/4) * (floor(T) + chi_(1/2,1)({T})),
@@ -177,28 +192,12 @@ def winding_correction_literal(n: int, x) -> int:
     rational or quadratic argument other than 0, +-1 is an irrational
     multiple of pi), so refinement terminates.
     """
-    x = as_value(x)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    _reject_unit(x, "x")
-    wp = 40
-    while wp <= 40 * 2**12:
-        hit = _winding_literal_at(n, x, wp)
-        if hit is not None:
-            return hit[0]
-        wp *= 2
-    raise RuntimeError(f"could not classify T for n={n}, x={x}")
+    return _winding_literal(n, x)[0]
 
 
 def winding_input(n: int, x) -> WindingInput:
     """Diagnostic T alongside (n, x), from the literal route's enclosure."""
-    x = as_value(x)
-    wp = 40
-    while True:
-        hit = _winding_literal_at(n, x, wp)
-        if hit is not None:
-            return WindingInput(n, x, hit[1])
-        wp *= 2
+    return WindingInput(n, as_value(x), _winding_literal(n, x)[1])
 
 
 def quad_reduce(h: int, kq: int, alpha: Surd) -> Identity:

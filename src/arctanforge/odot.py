@@ -1,4 +1,4 @@
-"""The arctangent composition product and exact angle folding.
+"""The arctangent composition product and exact angle arithmetic.
 
 Tangent addition makes the real line (minus the right-angle singularities)
 a commutative group under ``x (*) y = (x + y) / (1 - x*y)``; arctangents
@@ -10,9 +10,10 @@ then add up to an integer number of half-turns:
 
 :class:`NormalAngle` carries the pair (t, h) for the angle
 arctan(t) + h*(pi/2), so the singular right angles stay representable while
-plain Values never have to encode an infinite tangent.  ``fold_term``
-accumulates whole identities one arctangent at a time with the winding
-count tracked exactly.
+plain Values never have to encode an infinite tangent.  With that, angles
+are an abelian group: ``A + B`` applies the rule above with the winding
+count tracked exactly, and ``n * A`` is double-and-add, so folding a term
+coeff*arctan(arg) costs O(log|coeff|) additions.
 
 Powers under the product reduce to the u/v sequences:
 
@@ -36,7 +37,7 @@ from .errors import (
     UnsupportedRadicalError,
     UnsupportedRhsError,
 )
-from .sequences import uv_closed, uv_pair
+from .sequences import uv_coefficients, uv_pair
 from .values import Surd, Value, as_value, value_sign, value_sqrt
 
 __all__ = [
@@ -54,11 +55,10 @@ __all__ = [
 
 def odot(x, y) -> Value:
     """Exact (x + y) / (1 - x*y); raises RightAngleError when x*y = 1."""
-    x, y = as_value(x), as_value(y)
-    denom = 1 - x * y
-    if value_sign(denom) == 0:
+    total = NormalAngle(as_value(x), 0) + NormalAngle(as_value(y), 0)
+    if total.h % 2:
         raise RightAngleError("x*y = 1: the angle sum is an odd multiple of pi/2")
-    return (x + y) / denom
+    return total.t
 
 
 def odot_pow_reciprocal(x, n: int) -> Value:
@@ -164,6 +164,38 @@ class NormalAngle:
             )
         return cls(t, int(h))
 
+    def __add__(self, other: "NormalAngle") -> "NormalAngle":
+        if not isinstance(other, NormalAngle):
+            return NotImplemented
+        s, y, h = self.t, other.t, self.h + other.h
+        if s == 0:
+            return NormalAngle(y, h)
+        denom = 1 - s * y
+        c = value_sign(denom)
+        if c == 0:  # s*y = 1: an exact right angle
+            return NormalAngle(Fraction(0), h + value_sign(s))
+        if c < 0:  # s*y > 1: s and y share a sign, jump a half-turn
+            h += 2 * value_sign(s)
+        return NormalAngle((s + y) / denom, h)
+
+    def __neg__(self) -> "NormalAngle":
+        return NormalAngle(-self.t, -self.h)
+
+    def __rmul__(self, n: int) -> "NormalAngle":
+        """n copies of the angle by double-and-add: O(log|n|) additions."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return (-n) * (-self)
+        if n == 0:
+            return ZERO_ANGLE
+        acc = self  # left to right: each add takes the small original operand
+        for bit in bin(n)[3:]:
+            acc = acc + acc
+            if bit == "1":
+                acc = acc + self
+        return acc
+
     def __float__(self) -> float:
         import math
 
@@ -176,28 +208,13 @@ class NormalAngle:
 ZERO_ANGLE = NormalAngle(Fraction(0), 0)
 
 
-def _fold_one(state: NormalAngle, y: Value) -> NormalAngle:
-    s = state.t
-    c = value_sign(s * y - 1)
-    if c < 0:
-        return NormalAngle(odot(s, y), state.h)
-    if c > 0:
-        return NormalAngle(odot(s, y), state.h + 2 * value_sign(s))
-    return NormalAngle(Fraction(0), state.h + value_sign(s))
-
-
 def fold_term(state: NormalAngle, coeff: int, arg) -> NormalAngle:
-    """Fold coeff copies of arctan(arg) into the running normal form.
+    """Add coeff copies of arctan(arg) to the running angle.
 
-    Negative coefficients fold |coeff| copies of -arg, using the oddness of
-    the arctangent.  Exact right angles are absorbed into the half-turn
-    count, so folding is total.
+    Negative coefficients add copies of -arg (the arctangent is odd), and
+    exact right angles go into the half-turn count, so folding is total.
     """
-    arg = as_value(arg)
-    y = arg if coeff >= 0 else -arg
-    for _ in range(abs(coeff)):
-        state = _fold_one(state, y)
-    return state
+    return state + coeff * NormalAngle(as_value(arg), 0)
 
 
 def fold_terms(terms: Iterable[tuple[int, Value]]) -> NormalAngle:
@@ -257,22 +274,10 @@ class OdotPolynomial:
 
 def root_poly(n: int, x) -> OdotPolynomial:
     """Polynomial in z with z^(*n) = x: x*u_n(z) + v_n(z) for even n,
-    x*v_n(z) - u_n(z) for odd n, coefficients expanded binomially."""
+    x*v_n(z) - u_n(z) for odd n, from the binomial coefficients of (z + i)^n."""
     x = as_value(x)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if isinstance(x, Fraction) and abs(x) == 1:
-        raise DegenerateArgumentError("x = +-1 is excluded")
-    # Coefficient lists of u_n(z) and v_n(z), index = power of z.
-    import math as _math
-
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
-    for k in range(n // 2 + 1):
-        sign = -1 if k & 1 else 1
-        u[n - 2 * k] = Fraction(sign * _math.comb(n, 2 * k))
-        if 2 * k + 1 <= n:
-            v[n - 2 * k - 1] = Fraction(sign * _math.comb(n, 2 * k + 1))
+    _check_pow_args(x, n)
+    u, v = uv_coefficients(n)
     if n % 2 == 0:
         coeffs = tuple(x * uc + vc for uc, vc in zip(u, v))
     else:

@@ -3,9 +3,9 @@
 ``w_eval`` evaluates the generic order-2 sequence with characteristic
 polynomial t^2 - p*t + q.  The pair (u_n(x), v_n(x)) both satisfy that
 recurrence with p = 2x and q = 1 + x^2; they are the numerator and
-denominator data of n-fold arctangent addition and are computed here by
-three independent routes (one-step coupled recurrence, generic recurrence,
-binomial closed form) that the test suite plays against each other.
+denominator data of n-fold arctangent addition, u_n + i*v_n = (x + i)^n,
+which ``uv_pair`` powers by squaring; the binomial expansion (``uv_closed``)
+and the generic recurrence are independent routes the tests play against it.
 
 Lucas and Fibonacci numbers are the special case p = 1, q = -1 and feed the
 golden-ratio identities: phi^m = (L_m + F_m*sqrt(5)) / 2.
@@ -66,41 +66,41 @@ def w_eval(spec: RecurrenceSpec, n: int) -> Value:
 
 
 def uv_pair(n: int, x) -> UVPair:
-    """(u_n, v_n) by the coupled one-step recurrence.
+    """(u_n, v_n) as the real and imaginary parts of (x + i)^n.
 
-    u_n = x*u_(n-1) - v_(n-1) and v_n = u_(n-1) + x*v_(n-1), starting from
-    (1, 0); this is the row of the n-th power of the 2x2 rotation-like
-    matrix [[x, 1], [-1, x]].
+    Left-to-right binary powering: square, then multiply by x + i on each
+    set bit of n, so O(log n) complex multiplications.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     x = as_value(x)
-    u: Value = Fraction(1)
-    v: Value = Fraction(0)
-    for _ in range(n):
-        u, v = x * u - v, u + x * v
+    u, v = Fraction(1), Fraction(0)
+    for bit in bin(n)[2:]:
+        u, v = u * u - v * v, 2 * u * v
+        if bit == "1":
+            u, v = x * u - v, u + x * v
     return UVPair(u, v, n, x)
 
 
-def uv_closed(n: int, x) -> UVPair:
-    """(u_n, v_n) from the binomial closed forms.
-
-    u_n = sum_k C(n,2k) (-1)^k x^(n-2k),
-    v_n = sum_k C(n,2k+1) (-1)^k x^(n-2k-1).
-    """
+def uv_coefficients(n: int) -> tuple[list[int], list[int]]:
+    """Integer coefficient lists of u_n and v_n, index = power of x: in
+    (x + i)^n, x^j carries C(n, j) * i^(n-j), real for even n - j."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    for j in range(n + 1):
+        m = n - j
+        (v if m & 1 else u)[j] = (-1) ** (m // 2) * math.comb(n, j)
+    return u, v
+
+
+def uv_closed(n: int, x) -> UVPair:
+    """(u_n, v_n) by evaluating the binomial expansion at x (Horner)."""
+    cu, cv = uv_coefficients(n)
     x = as_value(x)
-    powers: list[Value] = [Fraction(1)]
-    for _ in range(n):
-        powers.append(powers[-1] * x)
-    u: Value = Fraction(0)
-    v: Value = Fraction(0)
-    for k in range(n // 2 + 1):
-        sign = -1 if k & 1 else 1
-        u = u + sign * math.comb(n, 2 * k) * powers[n - 2 * k]
-        if 2 * k + 1 <= n:
-            v = v + sign * math.comb(n, 2 * k + 1) * powers[n - 2 * k - 1]
+    u, v = Fraction(0), Fraction(0)
+    for a, b in zip(reversed(cu), reversed(cv)):
+        u, v = u * x + a, v * x + b
     return UVPair(u, v, n, x)
 
 

@@ -8,26 +8,23 @@ handle right sides off the quarter-pi lattice, and it reports
 ``indeterminate`` instead of guessing when the residual falls in the gray
 zone between clearly-zero and clearly-nonzero.
 
-The numeric path needs pi.  It takes it from 5*A(1/7) + 2*A(3/79) = pi/4,
-which the exact fold proves before the first numeric verdict is issued, so
-the two routes stay independent: no numeric result feeds the exact path.
+The numeric path needs pi, which ``pi_interval`` builds from an identity
+that the exact fold proves first, so the two routes stay independent: no
+numeric result feeds the exact path.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fixedpoint import FixedPointContext, Interval, pi_interval
-from .generator import ArctanTerm, Identity
+from .generator import Identity
 from .odot import NormalAngle
 
 __all__ = ["Verdict", "verify_exact", "verify_numeric", "DEFAULT_GUARD"]
 
 DEFAULT_GUARD = 5
-_GUARD_ENV = "ARCTAN_FORGE_GUARD"
 
 
 @dataclass(frozen=True)
@@ -50,29 +47,6 @@ def verify_exact(identity: Identity) -> Verdict:
     return Verdict(actual.same_angle(target), actual, identity.rhs)
 
 
-def _guard_digits() -> int:
-    raw = os.environ.get(_GUARD_ENV)
-    if raw is None:
-        return DEFAULT_GUARD
-    try:
-        g = int(raw)
-    except ValueError:
-        raise ValueError(f"{_GUARD_ENV} must be an integer, got {raw!r}") from None
-    if g < 1:
-        raise ValueError(f"{_GUARD_ENV} must be positive, got {g}")
-    return g
-
-
-@functools.cache
-def _bootstrap_pi_identity() -> None:
-    euler = Identity(
-        (ArctanTerm(5, Fraction(1, 7)), ArctanTerm(2, Fraction(3, 79))),
-        Fraction(1, 4),
-    )
-    if euler.fold().to_pi_multiple() != Fraction(1, 4):
-        raise RuntimeError("the pi bootstrap identity failed its exact check")
-
-
 def _sci(n: int, wp: int) -> str:
     """Scientific-notation string of n/10**wp without float underflow."""
     if n == 0:
@@ -90,13 +64,11 @@ def verify_numeric(identity: Identity, digits: int) -> Verdict:
     holds iff the residual is certainly below 10**(-digits+g); a residual
     certainly above 10**(-g) refutes; anything in between (or an enclosure
     too wide to tell) comes back holds=False, indeterminate=True, and the
-    caller may retry with more digits.  g is 5 unless ARCTAN_FORGE_GUARD
-    overrides it.
+    caller may retry with more digits.  g is DEFAULT_GUARD (5 digits).
     """
     if digits < 10:
         raise ValueError("digits must be at least 10")
-    _bootstrap_pi_identity()
-    g = _guard_digits()
+    g = DEFAULT_GUARD
     wp = digits + g + 15
     ctx = FixedPointContext(wp)
     total: Interval = (0, 0)

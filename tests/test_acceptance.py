@@ -194,6 +194,9 @@ def test_acceptance_4_algebraic_invariants(capsys):
         for x in (Fraction(3), Fraction(-5, 2), phi_power(1)):
             for n in range(31):
                 assert uv_closed(n, x) == uv_pair(n, x)
+        for x in (Fraction(-7, 3), Surd(Fraction(1, 2), -2, 3)):
+            for n in (32, 47, 63, 64, 100, 127, 128, 199, 200):
+                assert uv_closed(n, x) == uv_pair(n, x)
         # u +- v satisfy the shifted recurrences
         for x in (Fraction(2), Fraction(7, 3), Fraction(-4)):
             plus = RecurrenceSpec(1, x + 1, 2 * x, 1 + x * x)

@@ -1,6 +1,7 @@
 """Identity families: exact arguments, winding counts, error surfaces."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,16 @@ def test_machin_pair_large_winding():
     assert ident.rhs == Fraction(13, 4)
     assert winding_correction(20, 2) == 3
     assert winding_correction_literal(20, 2) == 3
+
+
+def test_machin_pair_huge_coefficient():
+    # O(log n) folding and u/v powering take a small fraction of the time
+    # bound; a fold that steps once per unit of n takes far longer
+    start = time.perf_counter()
+    ident = machin_pair(20000, Fraction(3))
+    assert verify_exact(ident).holds
+    assert time.perf_counter() - start < 5.0
+    assert ident.rhs - Fraction(1, 4) == winding_correction_literal(20000, 3) == 2048
 
 
 def test_machin_pair_fractional_x():

@@ -21,6 +21,7 @@ from arctanforge import (
     odot_pow_reciprocal,
     root_poly,
     uv_pair,
+    value_sign,
     value_to_float,
 )
 
@@ -221,3 +222,85 @@ def test_surd_fold():
     phi = Surd(Fraction(1, 2), Fraction(1, 2), 5)
     st = fold_terms([(1, Fraction(1, 2)), (2, 1 / phi)])
     assert st.to_pi_multiple() == Fraction(1, 2)
+
+
+def _fold_copies(state, coeff, arg):
+    """Per-copy fold, one arctangent at a time: the oracle for + and *."""
+    y = arg if coeff >= 0 else -arg
+    for _ in range(abs(coeff)):
+        s = state.t
+        c = value_sign(s * y - 1)
+        if c < 0:
+            state = NormalAngle((s + y) / (1 - s * y), state.h)
+        elif c > 0:
+            state = NormalAngle((s + y) / (1 - s * y), state.h + 2 * value_sign(s))
+        else:
+            state = NormalAngle(Fraction(0), state.h + value_sign(s))
+    return state
+
+
+# tan of multiples of pi/12 and pi/8: folds of these pass exact right angles
+_SURD_ARGS = (
+    Surd(0, Fraction(1, 3), 3),  # 1/sqrt(3)
+    Surd(0, 1, 3),  # sqrt(3)
+    Surd(2, 1, 3),
+    Surd(2, -1, 3),
+    Surd(1, 1, 2),
+    Surd(1, -1, 2),
+)
+
+
+def _random_arg(rng):
+    if rng.random() < 0.5:
+        return rnd_fraction(rng)
+    return rng.choice(_SURD_ARGS) * rng.choice((1, -1))
+
+
+def test_scaling_and_fold_term_match_per_copy_fold():
+    rng = random.Random(2024)
+    for _ in range(50):
+        arg = _random_arg(rng)
+        c = rng.randint(-300, 300)
+        want = _fold_copies(ZERO_ANGLE, c, arg).canonical()
+        assert (c * NormalAngle(arg, 0)).canonical() == want, (c, arg)
+        state = NormalAngle(rnd_fraction(rng), rng.randint(-3, 3))
+        got = fold_term(state, c, arg).canonical()
+        assert got == _fold_copies(state, c, arg).canonical(), (state, c, arg)
+
+
+def test_right_angles_mid_fold():
+    # 3*arctan(1/sqrt(3)) = pi/2 and 4*arctan(2 + sqrt(3)) = 5*pi/3
+    assert (3 * NormalAngle(_SURD_ARGS[0], 0)).to_pi_multiple() == Fraction(1, 2)
+    assert (4 * NormalAngle(_SURD_ARGS[2], 0)).to_pi_multiple() == Fraction(5, 3)
+    for arg in _SURD_ARGS:
+        for c in range(-24, 25):
+            want = _fold_copies(ZERO_ANGLE, c, arg)
+            assert fold_term(ZERO_ANGLE, c, arg).same_angle(want), (c, arg)
+
+
+def _random_angle(rng):
+    return NormalAngle(_random_arg(rng), rng.randint(-4, 4))
+
+
+def _random_rational_angle(rng):
+    return NormalAngle(rnd_fraction(rng), rng.randint(-4, 4))
+
+
+def test_angle_group_laws():
+    rng = random.Random(77)
+    for _ in range(200):
+        a, b, c = (_random_rational_angle(rng) for _ in range(3))
+        assert ((a + b) + c).same_angle(a + (b + c))
+        assert (a + b).same_angle(b + a)
+        assert (a + ZERO_ANGLE).same_angle(a)
+        assert (a + (-a)).canonical() == ZERO_ANGLE
+    for _ in range(100):
+        a = _random_angle(rng)
+        n, m = rng.randint(-20, 20), rng.randint(-20, 20)
+        assert (n * (m * a)).same_angle((n * m) * a), (n, m, a)
+        assert ((n + m) * a).same_angle(n * a + m * a), (n, m, a)
+        assert (a + (-a)).canonical() == ZERO_ANGLE
+    with pytest.raises(TypeError):
+        a + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * a

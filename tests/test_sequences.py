@@ -52,6 +52,12 @@ def test_uv_closed_matches_pair():
             cp = uv_pair(n, x)
             cl = uv_closed(n, x)
             assert (cp.u, cp.v) == (cl.u, cl.v), (n, x)
+    # long powers up to n = 200: powers of two, runs of set bits, odd n
+    for n in (32, 47, 63, 64, 100, 127, 128, 199, 200):
+        for x in [rnd_fraction(rng), Surd(rnd_fraction(rng), rnd_fraction(rng) or 1, 7)]:
+            cp = uv_pair(n, x)
+            cl = uv_closed(n, x)
+            assert (cp.u, cp.v) == (cl.u, cl.v), (n, x)
 
 
 def test_uv_norm_identity():

@@ -132,19 +132,6 @@ def test_numeric_indeterminate_band():
     assert not v.holds and not v.indeterminate
 
 
-def test_guard_band_env_override(monkeypatch):
-    tiny = ident([(1, Fraction(1, 10**8))], Fraction(0))
-    monkeypatch.setenv("ARCTAN_FORGE_GUARD", "9")
-    v = verify_numeric(tiny, digits=30)
-    assert not v.holds and not v.indeterminate
-    monkeypatch.setenv("ARCTAN_FORGE_GUARD", "three")
-    with pytest.raises(ValueError):
-        verify_numeric(NEWTON, digits=20)
-    monkeypatch.setenv("ARCTAN_FORGE_GUARD", "0")
-    with pytest.raises(ValueError):
-        verify_numeric(NEWTON, digits=20)
-
-
 def test_exact_and_numeric_agree_on_grid():
     for x in range(2, 21, 3):
         for n in range(1, 21, 4):
