@@ -13,7 +13,6 @@ binary splitting.
 
 from .engine import (
     DigitResult,
-    SplitNode,
     atan_series_split,
     lehmer_measure,
     pi_digits,
@@ -109,7 +108,6 @@ __all__ = [
     "RecurrenceSpec",
     "ReductionRequiredError",
     "RightAngleError",
-    "SplitNode",
     "Surd",
     "UVPair",
     "UnsupportedRadicalError",

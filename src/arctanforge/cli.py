@@ -274,7 +274,7 @@ def _cmd_digits(args) -> int:
             json.dumps(
                 {
                     "digits": result.digits,
-                    "count": result.count,
+                    "count": args.digits,
                     "elapsed": result.elapsed,
                     "unrounded": result.unrounded,
                     "identity": identity_to_dict(result.source),

@@ -8,11 +8,12 @@ over [0, N) is computed exactly as T/Q by the classic product tree:
     Q(a,b) = Q(a,m) * Q(m,b)
     T(a,b) = T(a,m) * Q(m,b) + P(a,m) * T(m,b)
 
-The truncation index N comes from the alternating-series tail bound
-(|p|/q)^(2N+1) / (2N+1) < 10^-D, so the only inexactness in a digit run is
-one floor division per arctangent.  Digit strings are truncated, never
-rounded; a run whose guard region is all nines or all zeros cannot prove
-its last digit and is retried with a wider guard before being flagged.
+The term count N makes the tail (|p|/q)^(2N+1)/(2N+1) < 10^-(S+10), so the
+floor of T/Q * 10^S is within 2 units of arctan(p/q) * 10^S.  Summing
+c_i times these floors at S = D + guard digits and dividing by rhs' gives
+an integer enclosure lo < pi*10^S < hi + 1; the D truncated decimals are
+proved when lo and hi + 1 agree on them, else the run is retried with a
+wider guard and finally flagged ``unrounded``.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .errors import (
     ReductionRequiredError,
 )
 from .generator import Identity
-from .values import Surd
+from .odot import NormalAngle
+from .values import Surd, _int_text, format_value
 from .verifier import verify_exact
 
 __all__ = [
-    "SplitNode",
     "DigitResult",
     "atan_series_split",
     "pi_digits",
@@ -45,43 +46,24 @@ SPLIT_GUARD = 10
 
 
 @dataclass(frozen=True)
-class SplitNode:
-    """Exact partial-sum state for a term range [a, b): sum = T/Q."""
-
-    P: int
-    Q: int
-    T: int
-
-    def combine(self, right: "SplitNode") -> "SplitNode":
-        return SplitNode(
-            self.P * right.P,
-            self.Q * right.Q,
-            self.T * right.Q + self.P * right.T,
-        )
-
-
-@dataclass(frozen=True)
 class DigitResult:
     digits: str
-    count: int
     source: Identity
     elapsed: float
     unrounded: bool = False
 
 
-def _base_node(j: int, p: int, q: int) -> SplitNode:
-    if j == 0:
-        return SplitNode(p, q, p)
-    pj = -p * p * (2 * j - 1)
-    qj = q * q * (2 * j + 1)
-    return SplitNode(pj, qj, pj)
-
-
-def _split(p: int, q: int, a: int, b: int) -> SplitNode:
+def _split(p: int, q: int, a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) for the term range [a, b): the partial sum is T/Q."""
     if b - a == 1:
-        return _base_node(a, p, q)
+        if a == 0:
+            return p, q, p
+        pj = -p * p * (2 * a - 1)
+        return pj, q * q * (2 * a + 1), pj
     m = (a + b) // 2
-    return _split(p, q, a, m).combine(_split(p, q, m, b))
+    p1, q1, t1 = _split(p, q, a, m)
+    p2, q2, t2 = _split(p, q, m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def _term_count(p: int, q: int, decimals: int) -> int:
@@ -118,52 +100,31 @@ def atan_series_split(p: int, q: int, digits: int) -> int:
         return 0
     if abs(p) >= q:
         raise ReductionRequiredError(
-            f"|{p}/{q}| >= 1: reduce via arctan(t) = sign(t)*pi/2 - arctan(1/t)"
+            f"|{format_value(Fraction(p, q))}| >= 1: reduce via arctan(t) ="
+            " sign(t)*pi/2 - arctan(1/t)"
         )
-    node = _split(p, q, 0, _term_count(p, q, digits + SPLIT_GUARD))
-    return node.T * 10**digits // node.Q
-
-
-def _eliminate_halves(
-    identity: Identity,
-) -> tuple[list[tuple[int, Fraction]], Fraction]:
-    """Rewrite so every argument satisfies |t| < 1.
-
-    arctan(t) = sign(t)*pi/2 - arctan(1/t) moves half-turns to the right
-    side; arctan(+-1) = +-pi/4 moves whole quarter-turns.  Returns the
-    surviving (coeff, arg) terms and the adjusted rhs multiple of pi.
-    """
-    work: list[tuple[int, Fraction]] = []
-    offset = Fraction(0)
-    for term in identity.terms:
-        c, t = term.coeff, Fraction(term.arg)
-        if t == 0:
-            continue
-        s = 1 if t > 0 else -1
-        if abs(t) == 1:
-            offset += Fraction(c * s, 4)
-            continue
-        if abs(t) > 1:
-            offset += Fraction(c * s, 2)
-            c, t = -c, 1 / t
-        work.append((c, t))
-    return work, identity.rhs - offset
+    _, big_q, big_t = _split(p, q, 0, _term_count(p, q, digits + SPLIT_GUARD))
+    return big_t * 10**digits // big_q
 
 
 def _run_digits(work, rprime: Fraction, digits: int, guard: int) -> tuple[str, bool]:
-    scale_digits = digits + guard
-    acc = 0
-    for c, t in work:
-        acc += c * atan_series_split(t.numerator, t.denominator, scale_digits)
-    pi_scaled = acc * rprime.denominator // rprime.numerator
-    s = str(pi_scaled)
-    if len(s) != scale_digits + 1 or s[0] != "3":
+    """Truncated decimals of pi and whether its integer enclosure proves them."""
+    scale = digits + guard
+    acc = sum(
+        c * atan_series_split(t.numerator, t.denominator, scale) for c, t in work
+    )
+    # |acc - rprime*pi*10**scale| < spread, so lo < pi*10**scale < hi + 1
+    spread = 2 * sum(abs(c) for c, _ in work)
+    lo, hi = sorted(
+        (acc + e) * rprime.denominator // rprime.numerator for e in (-spread, spread)
+    )
+    unit = 10**guard
+    truncated = lo // unit
+    if not 3 * 10**digits <= truncated < 4 * 10**digits:
         raise InconsistentInputError(
             "identity does not evaluate to pi at the claimed rhs"
         )
-    guard_region = s[1 + digits :]
-    ambiguous = guard_region in (("9" * guard), ("0" * guard))
-    return "3." + s[1 : 1 + digits], ambiguous
+    return "3." + _int_text(truncated)[1:], truncated != (hi + 1) // unit
 
 
 def pi_digits(identity: Identity, digits: int) -> DigitResult:
@@ -180,22 +141,29 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
         raise DegenerateIdentityError("rhs = 0 determines no value of pi")
     if not verify_exact(identity).holds:
         raise InconsistentInputError("identity fails exact verification")
-    work, rprime = _eliminate_halves(identity)
+    # arctan(t) = arctan(t') + h*pi/2 with t' in (-1, 1]: the half-turns and
+    # arctan(1) = pi/4 move to the right side, arctan(0) drops out
+    work, rprime = [], identity.rhs
+    for term in identity.terms:
+        angle = NormalAngle(term.arg, 0).canonical()
+        rprime -= Fraction(term.coeff * angle.h, 2)
+        if angle.t == 1:
+            rprime -= Fraction(term.coeff, 4)
+        elif angle.t != 0:
+            work.append((term.coeff, angle.t))
     if rprime == 0:
         raise DegenerateIdentityError(
             "pi cancels out after half-turn elimination"
         )
-    text, ambiguous = "", True
     for guard in (SPLIT_GUARD, 3 * SPLIT_GUARD, 9 * SPLIT_GUARD):
-        text, ambiguous = _run_digits(work, rprime, digits, guard)
-        if not ambiguous:
+        text, unrounded = _run_digits(work, rprime, digits, guard)
+        if not unrounded:
             break
     return DigitResult(
         digits=text,
-        count=digits,
         source=identity,
         elapsed=time.perf_counter() - start,
-        unrounded=ambiguous,
+        unrounded=unrounded,
     )
 
 
@@ -206,12 +174,10 @@ def lehmer_measure(identity: Identity) -> float:
     for term in identity.terms:
         if isinstance(term.arg, Surd):
             raise RationalOnlyError("the measure is defined for rational terms")
-        t = Fraction(term.arg)
-        if t == 0:
+        if term.arg == 0:
             raise DegenerateArgumentError("arctan(0) contributes no digits")
+        t = NormalAngle(term.arg, 0).canonical().t
         p, q = abs(t.numerator), t.denominator
-        if p > q:
-            p, q = q, p
         if p == q:
             return math.inf
         total += 1.0 / (math.log10(q) - math.log10(p))

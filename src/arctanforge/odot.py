@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedRhsError,
 )
 from .sequences import uv_coefficients, uv_pair
-from .values import Surd, Value, as_value, value_sign, value_sqrt
+from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
 
 __all__ = [
     "NormalAngle",
@@ -202,7 +202,7 @@ class NormalAngle:
         return math.atan(float(self.t)) + self.h * math.pi / 2
 
     def __str__(self) -> str:
-        return f"arctan({self.t}) + {self.h}*(pi/2)"
+        return f"arctan({format_value(self.t)}) + {format_value(self.h)}*(pi/2)"
 
 
 ZERO_ANGLE = NormalAngle(Fraction(0), 0)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import IdentitySyntaxError, InvalidRadicandError
 from .generator import ArctanTerm, Identity
-from .values import Surd, Value, surd_normalize, value_sign
+from .values import Value, _text_int, format_value, surd_normalize, value_sign
 
 __all__ = [
     "IdentityDocument",
@@ -32,12 +32,6 @@ __all__ = [
     "identity_to_dict",
     "identity_from_dict",
 ]
-
-
-def format_value(v: Value) -> str:
-    if isinstance(v, Surd):
-        return f"surd({v.a},{v.b},{v.d})"
-    return str(v)
 
 
 def _canonical_terms(identity: Identity) -> list[tuple[int, Value]]:
@@ -56,12 +50,12 @@ def format_identity(identity: Identity) -> str:
     for i, (c, arg) in enumerate(_canonical_terms(identity)):
         body = f"atan({format_value(arg)})"
         if abs(c) != 1:
-            body = f"{abs(c)}*{body}"
+            body = f"{format_value(abs(c))}*{body}"
         if i == 0:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f" {'+' if c > 0 else '-'} {body}")
-    return "".join(parts) + f" = {identity.rhs}*pi"
+    return "".join(parts) + f" = {format_value(identity.rhs)}*pi"
 
 
 class _Scanner:
@@ -102,7 +96,7 @@ class _Scanner:
             j += 1
         if j == self.i:
             self.err("expected an unsigned integer")
-        out = int(self.text[self.i : j])
+        out = _text_int(self.text[self.i : j])
         self.i = j
         return out
 
@@ -238,7 +232,7 @@ def identity_to_dict(identity: Identity, annotations: Annotations | None = None)
             {"coeff": c, "arg": format_value(arg)}
             for c, arg in _canonical_terms(identity)
         ],
-        "rhs": str(identity.rhs),
+        "rhs": format_value(identity.rhs),
         "text": format_identity(identity),
     }
     if annotations:

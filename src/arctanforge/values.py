@@ -38,6 +38,28 @@ __all__ = [
     "value_to_float",
 ]
 
+_STR_DIGITS = 4000  # plain str()/int() below CPython's 4300-digit limit
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of n at any size, split by halves (Brent-Zimmermann,
+    Modern Computer Arithmetic 1.7); faster than CPython's quadratic str()."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    half = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    if half <= _STR_DIGITS // 2:
+        return str(n)
+    high, low = divmod(n, 10**half)
+    return _int_text(high) + _int_text(low).zfill(half)
+
+
+def _text_int(digits: str) -> int:
+    """The inverse of _int_text on a string of decimal digits."""
+    if len(digits) <= _STR_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _text_int(digits[:-half]) * 10**half + _text_int(digits[-half:])
+
 
 def _squarefree_decompose(d: int) -> tuple[int, int]:
     """Write d >= 1 as s*s*core with core squarefree; return (s, core)."""
@@ -217,7 +239,7 @@ class Surd:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __str__(self) -> str:
-        return f"surd({self.a},{self.b},{self.d})"
+        return format_value(self)
 
 
 Value = Union[Fraction, Surd]
@@ -236,6 +258,15 @@ def _make(a: Fraction, b: Fraction, d: int) -> Value:
     if b == 0 or d == 1:
         return a + b
     return Surd(a, b, d)
+
+
+def format_value(v: Value) -> str:
+    """Canonical text of a Value: ``p/q`` (``p`` when whole) or ``surd(a,b,d)``."""
+    if isinstance(v, Surd):
+        return f"surd({format_value(v.a)},{format_value(v.b)},{_int_text(v.d)})"
+    v = Fraction(v)
+    text = _int_text(v.numerator)
+    return text if v.denominator == 1 else f"{text}/{_int_text(v.denominator)}"
 
 
 def as_value(x) -> Value:

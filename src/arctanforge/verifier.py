@@ -21,6 +21,7 @@ from fractions import Fraction
 from .fixedpoint import FixedPointContext, Interval, pi_interval
 from .generator import Identity
 from .odot import NormalAngle
+from .values import _int_text
 
 __all__ = ["Verdict", "verify_exact", "verify_numeric", "DEFAULT_GUARD"]
 
@@ -52,7 +53,7 @@ def _sci(n: int, wp: int) -> str:
     if n == 0:
         return "0"
     sign = "-" if n < 0 else ""
-    s = str(abs(n))
+    s = _int_text(abs(n))
     exp = len(s) - 1 - wp
     mant = s[0] if len(s) == 1 else s[0] + "." + s[1:6]
     return f"{sign}{mant}e{exp:+d}"

@@ -26,6 +26,12 @@ def test_gen_single(capsys):
     assert out_lines(capsys) == ["7*atan(1/3) - atan(278/29) = 1/4*pi"]
 
 
+def test_gen_beyond_int_str_limit(capsys):
+    # the second argument of machin_pair(8000, 5) has over 4300 digits
+    assert run(["gen", "--n", "8000", "--x", "5"]) == 0
+    assert out_lines(capsys) == [format_identity(machin_pair(8000, Fraction(5)))]
+
+
 def test_gen_range_with_annotations(capsys):
     assert run(["gen", "--n-range", "2..3", "--x-range", "3..4"]) == 0
     lines = out_lines(capsys)
@@ -204,7 +210,7 @@ def test_verify_empty_file_is_an_error(tmp_path, capsys):
 
 def test_digits_unconfirmed_tail_warns(monkeypatch, capsys):
     ident = machin_pair(2, Fraction(7))
-    fake = DigitResult("3.1", 1, ident, 0.0, unrounded=True)
+    fake = DigitResult("3.1", ident, 0.0, unrounded=True)
     monkeypatch.setattr(cli, "pi_digits", lambda *a, **k: fake)
     assert run(["digits", "--n", "2", "--x", "7", "--digits", "1"]) == 1
     assert "unconfirmed" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from arctanforge import (
     RationalOnlyError,
     ReductionRequiredError,
     atan_series_split,
+    diff_identity,
     golden_family,
     lehmer_measure,
     machin_pair,
@@ -29,6 +31,21 @@ def ident(terms, rhs):
 
 
 EULER = ident([(5, Fraction(1, 7)), (2, Fraction(3, 79))], Fraction(1, 4))
+MACHIN = ident([(4, Fraction(1, 5)), (-1, Fraction(1, 239))], Fraction(1, 4))
+# each pair of arctangents sums to pi/4
+QUARTER_PAIRS = [
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(1, 4), Fraction(3, 5)),
+    (Fraction(1, 5), Fraction(2, 3)),
+    (Fraction(1, 7), Fraction(3, 4)),
+]
+
+
+def euler_plus_zero(c, plus, minus):
+    """Euler's identity plus c times two quarter pairs that cancel."""
+    terms = [(t.coeff, t.arg) for t in EULER.terms]
+    terms += [(c, a) for a in plus] + [(-c, a) for a in minus]
+    return ident(terms, EULER.rhs)
 
 
 def test_atan_series_known_values():
@@ -47,7 +64,7 @@ def test_atan_series_normalization():
 
 
 def test_atan_series_rejects_large_arguments():
-    for p, q in [(1, 1), (3, 2), (-5, 5), (79, 3)]:
+    for p, q in [(1, 1), (3, 2), (-5, 5), (79, 3), (10**5000, 3)]:
         with pytest.raises(ReductionRequiredError):
             atan_series_split(p, q, 20)
 
@@ -88,7 +105,6 @@ def test_pi_digits_small():
     r = pi_digits(EULER, 10)
     # truncated, not rounded: the 11th decimal is 8
     assert r.digits == "3.1415926535"
-    assert r.count == 10
     assert r.source is EULER
     assert r.elapsed >= 0.0
     assert not r.unrounded
@@ -108,6 +124,16 @@ def test_pi_digits_internal_reduction():
     ident5 = machin_pair(5, Fraction(2))
     assert abs(ident5.terms[1].arg) > 1
     assert pi_digits(ident5, 30).digits == "3.141592653589793238462643383279"
+    # atan(f) - atan((f-1)/(f+1)) takes f and g through every branch of the
+    # reduction: 0 < f < 1 (-1 < g < 0), -1 < f < 0 (g < -1), f > 1
+    # (0 < g < 1) and f < -1 (g > 1)
+    rng = random.Random(109)
+    euler = pi_digits(EULER, 200).digits
+    for _ in range(3):
+        q = rng.randint(3, 20)
+        p = rng.randint(1, q - 1)
+        for f in (Fraction(p, q), Fraction(-p, q), Fraction(q, p), Fraction(-q, p)):
+            assert pi_digits(diff_identity(f), 200).digits == euler, f
 
 
 def test_pi_digits_term_order_irrelevant():
@@ -132,8 +158,43 @@ def test_pi_digits_degenerate_identities():
     # atan(1) = pi/4 is true but evaporates during half-turn elimination
     with pytest.raises(DegenerateIdentityError):
         pi_digits(ident([(1, Fraction(1))], Fraction(1, 4)), 20)
+    # atan(1) - atan(0) and atan(0) - atan(-1): arctan(+-1) and arctan(0)
+    # leave no series behind
+    for f in (Fraction(1), Fraction(0)):
+        with pytest.raises(DegenerateIdentityError):
+            pi_digits(diff_identity(f), 20)
     with pytest.raises(ValueError):
         pi_digits(EULER, 0)
+
+
+def test_pi_digits_proved_through_feynman_point():
+    # 761 decimals stop just before the six nines of the Feynman point, and
+    # the 1000-fold terms put the run thousands of units off pi: the last
+    # digit must come from the enclosure, not from the look of the guard
+    wide = euler_plus_zero(1000, QUARTER_PAIRS[1], QUARTER_PAIRS[0])
+    r = pi_digits(wide, 761)
+    assert r.digits == pi_digits(EULER, 761).digits
+    assert not r.unrounded
+
+
+def test_pi_digits_never_proves_a_wrong_digit():
+    rng = random.Random(107)
+    euler = pi_digits(EULER, 800).digits
+    for digits in range(700, 801):
+        plus, minus = rng.sample(QUARTER_PAIRS, 2)
+        wide = euler_plus_zero(rng.randint(10**3, 10**4), plus, minus)
+        r = pi_digits(wide, digits)
+        assert r.unrounded or r.digits == euler[: digits + 2], (digits, wide)
+
+
+def test_pi_digits_ten_thousand():
+    start = time.perf_counter()
+    a = pi_digits(MACHIN, 10_000)
+    b = pi_digits(EULER, 10_000)
+    assert time.perf_counter() - start < 5.0
+    assert len(a.digits) == 10_002
+    assert a.digits == b.digits
+    assert not a.unrounded and not b.unrounded
 
 
 def test_lehmer_measure_values():

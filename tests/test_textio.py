@@ -95,6 +95,7 @@ def test_round_trip_generated_identities():
     pool.append(golden_family("even", 2))
     pool.extend(half_turn(Fraction(3, 4)))
     pool.append(diff_identity(surd_normalize(0, Fraction(1, 2), 2)))
+    pool.append(machin_pair(8000, Fraction(5)))  # 4470-digit argument
     for p in pool:
         text = format_identity(p)
         back = parse_identity(text)

@@ -18,6 +18,7 @@ from arctanforge import (
     value_sqrt,
     value_to_float,
 )
+from arctanforge.values import _int_text, _text_int
 
 
 def rnd_fraction(rng, span=50):
@@ -183,3 +184,23 @@ def test_str_and_float():
     assert str(s) == "surd(-1/2,1/2,5)"
     assert math.isclose(float(s), (-1 + math.sqrt(5)) / 2)
     assert value_to_float(Fraction(1, 4)) == 0.25
+
+
+def test_decimal_text_pair_round_trip():
+    # sizes on both sides of the plain str()/int() chunk (4000 digits) and
+    # past the interpreter's 4300-digit int/str limit
+    rng = random.Random(103)
+    sizes = [1, 2, 3999, 4000, 4001, 4016, 4017, 4300, 4301, 8000, 8001]
+    sizes += [rng.randint(1, 20_000) for _ in range(20)]
+    for size in sizes:
+        text = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=size - 1))
+        n = _text_int(text)
+        assert _int_text(n) == text
+        assert _int_text(-n) == "-" + text
+        assert n % 10**9 == int(text[-9:])
+        m = rng.getrandbits(size * 4)
+        assert _text_int(_int_text(m)) == m
+    assert _int_text(0) == "0"
+    assert _text_int("000") == 0
+    big = Surd(Fraction(10**5000 + 1, 3), 1, 5)
+    assert str(big) == "surd(1" + "0" * 4999 + "1/3,1,5)"

@@ -19,6 +19,7 @@ from arctanforge import (
 )
 from arctanforge.fixedpoint import FixedPointContext, pi_interval
 from arctanforge.odot import NormalAngle
+from arctanforge.verifier import _sci
 
 
 def ident(terms, rhs):
@@ -173,3 +174,9 @@ def test_interval_sqrt_and_surds():
     assert Fraction(lo, ctx.scale) <= truth + slack
     assert truth - slack <= Fraction(hi, ctx.scale)
     assert hi - lo <= 4
+
+
+def test_sci_beyond_int_str_limit():
+    # residuals of a false identity at 4400+ digits have that many digits
+    assert _sci(7 * 10**4999 + 12345, 10) == "7.00000e+4989"
+    assert _sci(-123456789 * 10**4991, 5000) == "-1.23456e-1"
