@@ -13,7 +13,6 @@ binary splitting.
 
 from .engine import (
     DigitResult,
-    atan_series_split,
     lehmer_measure,
     pi_digits,
 )
@@ -34,20 +33,16 @@ from .errors import (
 from .generator import (
     ArctanTerm,
     Identity,
-    WindingInput,
     diff_identity,
     golden_family,
     half_turn,
     machin_pair,
     quad_reduce,
     winding_correction,
-    winding_correction_literal,
 )
 from .odot import (
     NormalAngle,
     OdotPolynomial,
-    ZERO_ANGLE,
-    fold_term,
     fold_terms,
     odot,
     odot_pow,
@@ -55,15 +50,11 @@ from .odot import (
     root_poly,
 )
 from .sequences import (
-    RecurrenceSpec,
-    UVPair,
     fibonacci,
     lucas,
     min_poly_phi_power,
     phi_power,
-    uv_closed,
     uv_pair,
-    w_eval,
 )
 from .textio import (
     IdentityDocument,
@@ -79,12 +70,9 @@ from .textio import (
 from .values import (
     Surd,
     Value,
-    as_value,
     surd_normalize,
-    value_conj,
     value_sign,
     value_sqrt,
-    value_to_float,
 )
 from .verifier import Verdict, verify_exact, verify_numeric
 
@@ -105,22 +93,15 @@ __all__ = [
     "NormalAngle",
     "OdotPolynomial",
     "RationalOnlyError",
-    "RecurrenceSpec",
     "ReductionRequiredError",
     "RightAngleError",
     "Surd",
-    "UVPair",
     "UnsupportedRadicalError",
     "UnsupportedRhsError",
     "Value",
     "Verdict",
-    "WindingInput",
-    "ZERO_ANGLE",
-    "as_value",
-    "atan_series_split",
     "diff_identity",
     "fibonacci",
-    "fold_term",
     "fold_terms",
     "format_document",
     "format_identity",
@@ -144,15 +125,10 @@ __all__ = [
     "quad_reduce",
     "root_poly",
     "surd_normalize",
-    "uv_closed",
     "uv_pair",
-    "value_conj",
     "value_sign",
     "value_sqrt",
-    "value_to_float",
     "verify_exact",
     "verify_numeric",
-    "w_eval",
     "winding_correction",
-    "winding_correction_literal",
 ]

@@ -125,8 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_document(path: str) -> IdentityDocument:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return parse_document(text)
+    if path == "-":
+        return parse_document(sys.stdin.read())
+    with open(path, encoding="utf-8") as f:
+        return parse_document(f.read())
 
 
 def _emit_entries(entries: list[Entry], as_json: bool) -> None:

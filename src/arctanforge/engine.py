@@ -37,7 +37,6 @@ from .verifier import verify_exact
 
 __all__ = [
     "DigitResult",
-    "atan_series_split",
     "pi_digits",
     "lehmer_measure",
 ]

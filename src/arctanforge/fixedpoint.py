@@ -75,14 +75,6 @@ class FixedPointContext:
             )
         return self.from_fraction(Fraction(v))
 
-    def to_fraction(self, iv: Interval) -> tuple[Fraction, Fraction]:
-        """Midpoint and radius of the enclosure, as exact fractions."""
-        lo, hi = iv
-        return (
-            Fraction(lo + hi, 2 * self.scale),
-            Fraction(hi - lo, 2 * self.scale),
-        )
-
     # -- ring operations ------------------------------------------------
 
     def neg(self, u: Interval) -> Interval:

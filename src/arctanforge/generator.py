@@ -29,18 +29,15 @@ from .errors import (
     RightAngleError,
     UnsupportedRadicalError,
 )
-from .fixedpoint import FixedPointContext, pi_interval
 from .odot import NormalAngle, fold_terms
-from .sequences import lucas, phi_power, uv_pair
+from .sequences import lucas, min_poly_phi_power, phi_power, uv_pair
 from .values import Surd, Value, as_value, value_sign, value_sqrt
 
 __all__ = [
     "ArctanTerm",
     "Identity",
-    "WindingInput",
     "machin_pair",
     "winding_correction",
-    "winding_correction_literal",
     "quad_reduce",
     "golden_family",
     "half_turn",
@@ -84,20 +81,6 @@ class Identity:
         return fold_terms((t.coeff, t.arg) for t in self.terms)
 
 
-@dataclass(frozen=True)
-class WindingInput:
-    """Diagnostic record for the literal winding formula.
-
-    T = |pi/4 - n*arctan(1/x)| / pi, carried as a midpoint of a rigorous
-    enclosure; only floor(T) and the position of its fractional part
-    relative to 1/2 matter.
-    """
-
-    n: int
-    x: Value
-    T: Fraction
-
-
 def _rhs_from_fold(terms) -> Fraction:
     angle = fold_terms((t.coeff, t.arg) for t in terms)
     r = angle.to_pi_multiple()
@@ -130,74 +113,13 @@ def machin_pair(n: int, x) -> Identity:
 def winding_correction(n: int, x) -> int:
     """The integer k with n*A(1/x) + A((u_n-v_n)/(u_n+v_n)) = pi/4 + k*pi.
 
-    Computed by exact folding; :func:`winding_correction_literal` is the
-    independent floating route and must agree.
+    Computed by exact folding; the test suite cross-checks it against the
+    paper's floor/fractional-part formula evaluated in interval arithmetic.
     """
     k = machin_pair(n, x).rhs - Fraction(1, 4)
     if k.denominator != 1:
         raise RuntimeError(f"non-integer winding {k} for n={n}, x={x}")
     return int(k)
-
-
-def _winding_literal_at(n: int, x: Value, wp: int) -> tuple[int, Fraction] | None:
-    # One refinement pass; None means wp was too coarse to classify.
-    ctx = FixedPointContext(wp)
-    pi_iv = pi_interval(wp)
-    na = ctx.mul_int(ctx.atan(ctx.from_value(1 / x)), n)
-    diff = ctx.sub(na, ctx.div_int(pi_iv, 4))  # n*A(1/x) - pi/4
-    if diff[1] < 0:
-        sgn = -1
-        absdiff = (-diff[1], -diff[0])
-    elif diff[0] > 0:
-        sgn = 1
-        absdiff = diff
-    else:
-        return None
-    T = ctx.div(absdiff, pi_iv)
-    fl = T[0] // ctx.scale
-    if T[1] // ctx.scale != fl:
-        return None
-    frac = (T[0] - fl * ctx.scale, T[1] - fl * ctx.scale)
-    if 2 * frac[0] > ctx.scale:
-        chi = 1
-    elif 2 * frac[1] < ctx.scale:
-        chi = 0
-    else:
-        return None
-    return sgn * (fl + chi), Fraction(T[0] + T[1], 2 * ctx.scale)
-
-
-def _winding_literal(n: int, x) -> tuple[int, Fraction]:
-    # (k, T) at the first wp that classifies T, doubling wp up to a cap
-    x = as_value(x)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    _reject_unit(x, "x")
-    wp = 40
-    while wp <= 40 * 2**12:
-        hit = _winding_literal_at(n, x, wp)
-        if hit is not None:
-            return hit
-        wp *= 2
-    raise RuntimeError(f"could not classify T for n={n}, x={x}")
-
-
-def winding_correction_literal(n: int, x) -> int:
-    """k via the characteristic-function formula
-    sign(n*A(1/x) - pi/4) * (floor(T) + chi_(1/2,1)({T})),
-    T = |pi/4 - n*A(1/x)|/pi, refined until the classification of T against
-    the integer lattice and the point 1/2 is unambiguous.
-
-    T is never exactly an integer or half-integer here (arctan of a
-    rational or quadratic argument other than 0, +-1 is an irrational
-    multiple of pi), so refinement terminates.
-    """
-    return _winding_literal(n, x)[0]
-
-
-def winding_input(n: int, x) -> WindingInput:
-    """Diagnostic T alongside (n, x), from the literal route's enclosure."""
-    return WindingInput(n, as_value(x), _winding_literal(n, x)[1])
 
 
 def quad_reduce(h: int, kq: int, alpha: Surd) -> Identity:
@@ -235,12 +157,12 @@ def golden_family(kind: str, k: int) -> Identity:
         raise ValueError("k must be nonnegative")
     if kind == "odd":
         m = 2 * k + 1
-        return quad_reduce(lucas(m), -1, phi_power(m))
+        return quad_reduce(*min_poly_phi_power(m), phi_power(m))
     if kind == "even":
         if k < 1:
             raise ValueError("the even family starts at k = 1")
         m = 2 * k
-        return quad_reduce(lucas(m), 1, phi_power(m))
+        return quad_reduce(*min_poly_phi_power(m), phi_power(m))
     if kind == "lucas_minus":
         m = 2 * k + 1
         terms = (

@@ -43,11 +43,9 @@ from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
 __all__ = [
     "NormalAngle",
     "OdotPolynomial",
-    "ZERO_ANGLE",
     "odot",
     "odot_pow",
     "odot_pow_reciprocal",
-    "fold_term",
     "fold_terms",
     "root_poly",
 ]
@@ -208,20 +206,13 @@ class NormalAngle:
 ZERO_ANGLE = NormalAngle(Fraction(0), 0)
 
 
-def fold_term(state: NormalAngle, coeff: int, arg) -> NormalAngle:
-    """Add coeff copies of arctan(arg) to the running angle.
-
-    Negative coefficients add copies of -arg (the arctangent is odd), and
-    exact right angles go into the half-turn count, so folding is total.
-    """
-    return state + coeff * NormalAngle(as_value(arg), 0)
-
-
 def fold_terms(terms: Iterable[tuple[int, Value]]) -> NormalAngle:
-    """Fold (coeff, arg) pairs from the zero angle."""
+    """Fold (coeff, arg) pairs from the zero angle: the sum of the angles
+    coeff*arctan(arg), with exact right angles in the half-turn count, so
+    folding is total."""
     state = ZERO_ANGLE
     for coeff, arg in terms:
-        state = fold_term(state, coeff, arg)
+        state = state + coeff * NormalAngle(as_value(arg), 0)
     return state
 
 

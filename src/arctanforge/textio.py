@@ -92,7 +92,7 @@ class _Scanner:
     def uint(self) -> int:
         self.skip_ws()
         j = self.i
-        while j < self.n and self.text[j].isdigit():
+        while j < self.n and "0" <= self.text[j] <= "9":
             j += 1
         if j == self.i:
             self.err("expected an unsigned integer")
@@ -140,7 +140,7 @@ def parse_value(text: str) -> Value:
 def _term(sc: _Scanner) -> tuple[int, Value]:
     coeff = 1
     col = sc.i
-    if sc.peek().isdigit():
+    if "0" <= sc.peek() <= "9":
         col = sc.i
         coeff = sc.uint()
         if coeff == 0:

@@ -30,12 +30,9 @@ from .errors import (
 __all__ = [
     "Surd",
     "Value",
-    "as_value",
     "surd_normalize",
     "value_sign",
-    "value_conj",
     "value_sqrt",
-    "value_to_float",
 ]
 
 _STR_DIGITS = 4000  # plain str()/int() below CPython's 4300-digit limit
@@ -126,13 +123,13 @@ class Surd:
         if other is None:
             return NotImplemented
         if isinstance(other, Fraction):
-            return Surd(self.a + other, self.b, self.d)
+            return _surd(self.a + other, self.b, self.d)
         return _make(self.a + other.a, self.b + other.b, self.d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b, self.d)
+        return _surd(-self.a, -self.b, self.d)
 
     def __pos__(self) -> "Surd":
         return self
@@ -156,7 +153,7 @@ class Surd:
         if isinstance(other, Fraction):
             if other == 0:
                 return Fraction(0)
-            return Surd(self.a * other, self.b * other, self.d)
+            return _surd(self.a * other, self.b * other, self.d)
         return _make(
             self.a * other.a + self.b * other.b * self.d,
             self.a * other.b + self.b * other.a,
@@ -169,7 +166,7 @@ class Surd:
         # 1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - b^2 d); the norm is
         # never zero because sqrt(d) is irrational and b != 0.
         norm = self.a * self.a - self.b * self.b * self.d
-        return Surd(self.a / norm, -self.b / norm, self.d)
+        return _surd(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other) -> Value:
         other = self._coerce(other)
@@ -178,7 +175,7 @@ class Surd:
         if isinstance(other, Fraction):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return Surd(self.a / other, self.b / other, self.d)
+            return _surd(self.a / other, self.b / other, self.d)
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> Value:
@@ -198,7 +195,7 @@ class Surd:
         return result
 
     def conjugate(self) -> "Surd":
-        return Surd(self.a, -self.b, self.d)
+        return _surd(self.a, -self.b, self.d)
 
     # -- order --------------------------------------------------------------
 
@@ -253,11 +250,22 @@ def _fraction_sign(q: Fraction) -> int:
     return 0
 
 
+def _surd(a: Fraction, b: Fraction, d: int) -> Surd:
+    """A Surd from parts already canonical (Fractions, b != 0, d squarefree
+    and >= 2), skipping the checks of the public constructor: arithmetic on
+    canonical surds keeps d, so it never needs to factor it again."""
+    s = object.__new__(Surd)
+    object.__setattr__(s, "a", a)
+    object.__setattr__(s, "b", b)
+    object.__setattr__(s, "d", d)
+    return s
+
+
 def _make(a: Fraction, b: Fraction, d: int) -> Value:
     """Assemble a + b*sqrt(d) assuming d is already squarefree."""
     if b == 0 or d == 1:
         return a + b
-    return Surd(a, b, d)
+    return _surd(a, b, d)
 
 
 def format_value(v: Value) -> str:
@@ -295,13 +303,6 @@ def value_sign(x: Value) -> int:
     if isinstance(x, Surd):
         return x.sign()
     return _fraction_sign(Fraction(x))
-
-
-def value_conj(x: Value) -> Value:
-    """Field conjugate: flips the sign of the sqrt(d) part; identity on rationals."""
-    if isinstance(x, Surd):
-        return x.conjugate()
-    return Fraction(x)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -349,8 +350,3 @@ def value_sqrt(x: Value) -> Value:
         return exact
     # sqrt(p/q) = sqrt(p*q)/q with p*q > 0
     return surd_normalize(0, Fraction(1, q.denominator), q.numerator * q.denominator)
-
-
-def value_to_float(x: Value) -> float:
-    """Lossy float view, for diagnostics only."""
-    return float(x)

@@ -1,0 +1,128 @@
+"""Independent routes the tests play against the package's own.
+
+* The literal winding formula of the paper: k from floor(T) and the
+  fractional part of T = |pi/4 - n*arctan(1/x)| / pi, evaluated in interval
+  arithmetic.  The package decides k by the exact fold instead.
+* The generic order-2 recurrence W(alpha, beta, p, q), which u_n +- v_n,
+  Lucas and Fibonacci numbers all satisfy.
+* The binomial expansion of (x + i)^n evaluated by Horner, against the
+  package's powering by squaring.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from arctanforge.fixedpoint import FixedPointContext, pi_interval
+from arctanforge.generator import _reject_unit
+from arctanforge.sequences import UVPair, uv_coefficients
+from arctanforge.values import Value, as_value
+
+
+@dataclass(frozen=True)
+class WindingInput:
+    """Diagnostic record for the literal winding formula.
+
+    T = |pi/4 - n*arctan(1/x)| / pi, carried as a midpoint of a rigorous
+    enclosure; only floor(T) and the position of its fractional part
+    relative to 1/2 matter.
+    """
+
+    n: int
+    x: Value
+    T: Fraction
+
+
+def _winding_literal_at(n: int, x: Value, wp: int) -> tuple[int, Fraction] | None:
+    # One refinement pass; None means wp was too coarse to classify.
+    ctx = FixedPointContext(wp)
+    pi_iv = pi_interval(wp)
+    na = ctx.mul_int(ctx.atan(ctx.from_value(1 / x)), n)
+    diff = ctx.sub(na, ctx.div_int(pi_iv, 4))  # n*A(1/x) - pi/4
+    if diff[1] < 0:
+        sgn = -1
+        absdiff = (-diff[1], -diff[0])
+    elif diff[0] > 0:
+        sgn = 1
+        absdiff = diff
+    else:
+        return None
+    T = ctx.div(absdiff, pi_iv)
+    fl = T[0] // ctx.scale
+    if T[1] // ctx.scale != fl:
+        return None
+    frac = (T[0] - fl * ctx.scale, T[1] - fl * ctx.scale)
+    if 2 * frac[0] > ctx.scale:
+        chi = 1
+    elif 2 * frac[1] < ctx.scale:
+        chi = 0
+    else:
+        return None
+    return sgn * (fl + chi), Fraction(T[0] + T[1], 2 * ctx.scale)
+
+
+def _winding_literal(n: int, x) -> tuple[int, Fraction]:
+    # (k, T) at the first wp that classifies T, doubling wp up to a cap
+    x = as_value(x)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    _reject_unit(x, "x")
+    wp = 40
+    while wp <= 40 * 2**12:
+        hit = _winding_literal_at(n, x, wp)
+        if hit is not None:
+            return hit
+        wp *= 2
+    raise RuntimeError(f"could not classify T for n={n}, x={x}")
+
+
+def winding_correction_literal(n: int, x) -> int:
+    """k via the characteristic-function formula
+    sign(n*A(1/x) - pi/4) * (floor(T) + chi_(1/2,1)({T})),
+    T = |pi/4 - n*A(1/x)|/pi, refined until the classification of T against
+    the integer lattice and the point 1/2 is unambiguous.
+
+    T is never exactly an integer or half-integer here (arctan of a
+    rational or quadratic argument other than 0, +-1 is an irrational
+    multiple of pi), so refinement terminates.
+    """
+    return _winding_literal(n, x)[0]
+
+
+def winding_input(n: int, x) -> WindingInput:
+    """Diagnostic T alongside (n, x), from the literal route's enclosure."""
+    return WindingInput(n, as_value(x), _winding_literal(n, x)[1])
+
+
+@dataclass(frozen=True)
+class RecurrenceSpec:
+    """Order-2 recurrence a_n = p*a_(n-1) - q*a_(n-2) with a_0, a_1 given."""
+
+    alpha: Value
+    beta: Value
+    p: Value
+    q: Value
+
+
+def w_eval(spec: RecurrenceSpec, n: int) -> Value:
+    """n-th term of the recurrence, evaluated iteratively and exactly."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return as_value(spec.alpha)
+    prev, cur = as_value(spec.alpha), as_value(spec.beta)
+    p, q = as_value(spec.p), as_value(spec.q)
+    for _ in range(n - 1):
+        prev, cur = cur, p * cur - q * prev
+    return cur
+
+
+def uv_closed(n: int, x) -> UVPair:
+    """(u_n, v_n) by evaluating the binomial expansion at x (Horner)."""
+    cu, cv = uv_coefficients(n)
+    x = as_value(x)
+    u, v = Fraction(0), Fraction(0)
+    for a, b in zip(reversed(cu), reversed(cv)):
+        u, v = u * x + a, v * x + b
+    return UVPair(u, v, n, x)

@@ -12,7 +12,6 @@ from fractions import Fraction
 from arctanforge import (
     ArctanTerm,
     Identity,
-    RecurrenceSpec,
     Surd,
     fibonacci,
     fold_terms,
@@ -26,16 +25,14 @@ from arctanforge import (
     pi_digits,
     quad_reduce,
     root_poly,
-    uv_closed,
     uv_pair,
     value_sqrt,
     verify_exact,
     verify_numeric,
-    w_eval,
     winding_correction,
-    winding_correction_literal,
 )
 from arctanforge.cli import run
+from oracles import RecurrenceSpec, uv_closed, w_eval, winding_correction_literal
 
 # Recorded from the pairwise-agreeing 1000-digit runs of the three engine
 # sources below (criterion 5); the agreement is the oracle.

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import arctanforge.cli as cli
+import arctanforge.values as values
 from arctanforge import (
     DigitResult,
     format_identity,
@@ -72,6 +73,20 @@ def test_quad_rejects_non_root(capsys):
     assert run(["quad", "--h", "0", "--k", "-2", "--alpha", "0,1"]) == 2
 
 
+def test_quad_factors_the_radicand_once(monkeypatch, capsys):
+    # arithmetic on canonical surds keeps the radicand, so only the input
+    # radicand is factored, however many operations the reduction takes
+    calls = []
+    factor = values._squarefree_decompose
+    monkeypatch.setattr(
+        values, "_squarefree_decompose", lambda d: calls.append(d) or factor(d)
+    )
+    d = 1000003  # prime
+    assert run(["quad", "--h", "0", "--k", str(-d), "--alpha", f"0,1,{d}"]) == 0
+    assert calls == [d]
+    assert verify_exact(cli.parse_document(out_lines(capsys)[0]).identities[0]).holds
+
+
 def test_golden_command(capsys):
     assert run(["golden", "--family", "lucas-minus", "--k", "0"]) == 0
     line = out_lines(capsys)[0]
@@ -119,6 +134,21 @@ def test_verify_file_exact(tmp_path, capsys):
     assert run(["verify", "--exact", "--file", str(f)]) == 0
     lines = out_lines(capsys)
     assert all(line.startswith("holds:") for line in lines)
+
+
+def test_verify_file_is_closed(tmp_path, monkeypatch):
+    f = tmp_path / "ids.txt"
+    f.write_text("atan(1) = 1/4*pi\n")
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert run(["verify", "--exact", "--file", str(f)]) == 0
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_verify_file_with_failure(tmp_path, capsys):
@@ -169,6 +199,11 @@ def test_verify_syntax_error_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 1:")
     assert "column" in err
+    for line in ("atan(1/\u00b2) = 1/4*pi", "\u0663*atan(1/3) = 1/4*pi"):
+        f.write_text(line + "\n", encoding="utf-8")
+        assert run(["verify", "--exact", "--file", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1:") and "column" in err, err
 
 
 def test_verify_missing_file(capsys):

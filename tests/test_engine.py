@@ -16,14 +16,13 @@ from arctanforge import (
     InconsistentInputError,
     RationalOnlyError,
     ReductionRequiredError,
-    atan_series_split,
     diff_identity,
     golden_family,
     lehmer_measure,
     machin_pair,
     pi_digits,
 )
-from arctanforge.engine import _term_count
+from arctanforge.engine import _term_count, atan_series_split
 
 
 def ident(terms, rhs):

@@ -26,9 +26,8 @@ from arctanforge import (
     value_sign,
     verify_exact,
     winding_correction,
-    winding_correction_literal,
 )
-from arctanforge.generator import winding_input
+from oracles import winding_correction_literal, winding_input
 
 
 def terms_of(ident):

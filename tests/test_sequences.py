@@ -6,17 +6,15 @@ from fractions import Fraction
 import pytest
 
 from arctanforge import (
-    RecurrenceSpec,
     Surd,
     fibonacci,
     lucas,
     min_poly_phi_power,
     phi_power,
-    uv_closed,
     uv_pair,
     value_sign,
-    w_eval,
 )
+from oracles import RecurrenceSpec, uv_closed, w_eval
 
 
 def rnd_fraction(rng, span=30):
@@ -104,6 +102,12 @@ def test_uv_with_surd_argument():
 def test_lucas_fibonacci_values():
     assert [lucas(m) for m in range(10)] == [2, 1, 3, 4, 7, 11, 18, 29, 47, 76]
     assert [fibonacci(m) for m in range(10)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+    luc, fib = RecurrenceSpec(2, 1, 1, -1), RecurrenceSpec(0, 1, 1, -1)
+    for m in range(200):
+        assert (lucas(m), fibonacci(m)) == (w_eval(luc, m), w_eval(fib, m))
+    for f in (lucas, fibonacci, phi_power):
+        with pytest.raises(ValueError):
+            f(-1)
 
 
 def test_lucas_fibonacci_norm():

@@ -128,6 +128,16 @@ def test_parse_identity_column_reporting():
         parse_identity("atan(1/2) + = 1/4 * pi")
     with pytest.raises(IdentitySyntaxError):
         parse_identity("")
+    # only ASCII 0-9 are digits, though str.isdigit and int() take more
+    for digit in ("\u00b2", "\u0663"):  # superscript two, Arabic-Indic three
+        for line, col in (
+            (f"{digit}*atan(1/3) = 1/4*pi", 1),
+            (f"atan(1/{digit}) = 1/4*pi", 8),
+            (f"atan(surd(1,1,{digit})) = 1/4*pi", 15),
+        ):
+            with pytest.raises(IdentitySyntaxError) as ei:
+                parse_identity(line)
+            assert ei.value.column == col, line
 
 
 def test_document_round_trip_with_annotations():

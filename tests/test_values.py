@@ -11,14 +11,11 @@ from arctanforge import (
     InvalidRadicandError,
     Surd,
     UnsupportedRadicalError,
-    as_value,
     surd_normalize,
-    value_conj,
     value_sign,
     value_sqrt,
-    value_to_float,
 )
-from arctanforge.values import _int_text, _text_int
+from arctanforge.values import _int_text, _text_int, as_value
 
 
 def rnd_fraction(rng, span=50):
@@ -43,6 +40,10 @@ def test_surd_constructor_validates():
         Surd(1, 1, -2)
     with pytest.raises(InvalidRadicandError):
         Surd(1, 0, 2)  # rational in disguise
+    with pytest.raises(InvalidRadicandError):
+        Surd(0, 1, 4)  # a perfect square
+    with pytest.raises(InvalidRadicandError):
+        Surd(1, 0, 5)
 
 
 def test_surd_normalize_extracts_squares():
@@ -74,11 +75,11 @@ def test_field_arithmetic_random():
         for op in ("add", "sub", "mul"):
             got = getattr(x, f"__{op}__")(y)
             want = getattr(float(x), f"__{op}__")(float(y))
-            assert math.isclose(value_to_float(got), want, rel_tol=1e-9, abs_tol=1e-9)
+            assert math.isclose(float(got), want, rel_tol=1e-9, abs_tol=1e-9)
         if value_sign(y) != 0:
             got = x / y
             assert math.isclose(
-                value_to_float(got), float(x) / float(y), rel_tol=1e-9, abs_tol=1e-9
+                float(got), float(x) / float(y), rel_tol=1e-9, abs_tol=1e-9
             )
 
 
@@ -96,8 +97,8 @@ def test_surd_plus_conjugate_is_rational():
     rng = random.Random(7)
     for _ in range(50):
         x = rnd_surd(rng, d=2)
-        assert isinstance(x + value_conj(x), Fraction)
-        assert isinstance(x * value_conj(x), Fraction)
+        assert isinstance(x + x.conjugate(), Fraction)
+        assert isinstance(x * x.conjugate(), Fraction)
 
 
 def test_inverse_and_pow():
@@ -128,7 +129,7 @@ def test_sign_is_exact():
     rng = random.Random(55)
     for _ in range(300):
         x = rnd_surd(rng, d=rng.choice([2, 3, 5, 29]))
-        fx = value_to_float(x)
+        fx = float(x)
         if abs(fx) > 1e-6:
             assert value_sign(x) == (1 if fx > 0 else -1)
     # a case where naive floating evaluation is close to zero
@@ -183,7 +184,7 @@ def test_str_and_float():
     s = Surd(Fraction(-1, 2), Fraction(1, 2), 5)
     assert str(s) == "surd(-1/2,1/2,5)"
     assert math.isclose(float(s), (-1 + math.sqrt(5)) / 2)
-    assert value_to_float(Fraction(1, 4)) == 0.25
+    assert float(Fraction(1, 4)) == 0.25
 
 
 def test_decimal_text_pair_round_trip():
