@@ -60,19 +60,21 @@ class FixedPointContext:
 
     # -- conversions ----------------------------------------------------
 
-    def from_int(self, n: int) -> Interval:
-        return (n * self.scale, n * self.scale)
-
     def from_fraction(self, fr: Fraction) -> Interval:
         num = fr.numerator * self.scale
         return (_fdiv(num, fr.denominator), _cdiv(num, fr.denominator))
 
     def from_value(self, v: Value) -> Interval:
         if isinstance(v, Surd):
-            root = self.sqrt(self.from_int(v.d))
-            return self.add(
-                self.from_fraction(v.a), self.mul(self.from_fraction(v.b), root)
-            )
+            # (A + B*sqrt(d))/D over integers with a single square root, so a
+            # nearly cancelling a + b*sqrt(d) loses no digits; sqrt(d) is
+            # irrational, hence r < |B|*S*sqrt(d) < r + 1 strictly
+            a, b = v.a, v.b
+            den = a.denominator * b.denominator
+            num = a.numerator * b.denominator * self.scale
+            r = isqrt((b.numerator * a.denominator * self.scale) ** 2 * v.d)
+            lo, hi = (num + r, num + r + 1) if b > 0 else (num - r - 1, num - r)
+            return (_fdiv(lo, den), _cdiv(hi, den))
         return self.from_fraction(Fraction(v))
 
     # -- ring operations ------------------------------------------------
@@ -124,7 +126,7 @@ class FixedPointContext:
 
     def atan(self, u: Interval) -> Interval:
         doublings = 0
-        one = self.from_int(1)
+        one = (self.scale, self.scale)
         while max(abs(u[0]), abs(u[1])) * 2 > self.scale:
             if doublings > 64:
                 raise RuntimeError("argument reduction failed to contract")

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedRadicalError,
     UnsupportedRhsError,
 )
-from .sequences import uv_coefficients, uv_pair
+from .sequences import uv_coefficients
 from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
 
 __all__ = [
@@ -53,20 +53,17 @@ __all__ = [
 
 def odot(x, y) -> Value:
     """Exact (x + y) / (1 - x*y); raises RightAngleError when x*y = 1."""
-    total = NormalAngle(as_value(x), 0) + NormalAngle(as_value(y), 0)
-    if total.h % 2:
-        raise RightAngleError("x*y = 1: the angle sum is an odd multiple of pi/2")
-    return total.t
+    return _tangent(NormalAngle(as_value(x), 0) + NormalAngle(as_value(y), 0))
 
 
 def odot_pow_reciprocal(x, n: int) -> Value:
     """(1/x) composed with itself n times: v_n(x) / u_n(x)."""
     x = as_value(x)
     _check_pow_args(x, n)
-    pair = uv_pair(n, x)
-    if value_sign(pair.u) == 0:
-        raise RightAngleError(f"u_{n}({x}) = 0: angle is an odd multiple of pi/2")
-    return pair.v / pair.u
+    if value_sign(x) == 0:  # arctan(1/0) is the right angle
+        return _tangent(n * NormalAngle(Fraction(0), 1))
+    return _tangent(n * NormalAngle(1 / x, 0))
+
 
 def odot_pow(x, n: int) -> Value:
     """x composed with itself n times.
@@ -76,14 +73,16 @@ def odot_pow(x, n: int) -> Value:
     """
     x = as_value(x)
     _check_pow_args(x, n)
-    pair = uv_pair(n, x)
-    if n % 2:
-        if value_sign(pair.v) == 0:
-            raise RightAngleError(f"v_{n}({x}) = 0: angle is an odd multiple of pi/2")
-        return pair.u / pair.v
-    if value_sign(pair.u) == 0:
-        raise RightAngleError(f"u_{n}({x}) = 0: angle is an odd multiple of pi/2")
-    return -(pair.v / pair.u)
+    return _tangent(n * NormalAngle(x, 0))
+
+
+def _tangent(angle: NormalAngle) -> Value:
+    """tan(arctan(t) + h*(pi/2)): t for even h, -1/t for odd h."""
+    if angle.h % 2 == 0:
+        return angle.t
+    if value_sign(angle.t) == 0:
+        raise RightAngleError("the angle is an odd multiple of pi/2")
+    return -(1 / angle.t)
 
 
 def _check_pow_args(x: Value, n: int) -> None:

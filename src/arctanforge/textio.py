@@ -45,17 +45,24 @@ def _canonical_terms(identity: Identity) -> list[tuple[int, Value]]:
     return out
 
 
-def format_identity(identity: Identity) -> str:
+def _signed_sum(terms) -> str:
+    """Join (sign, body) pairs as `body + body - body`; a negative first
+    term takes a bare leading `-`."""
     parts: list[str] = []
-    for i, (c, arg) in enumerate(_canonical_terms(identity)):
-        body = f"atan({format_value(arg)})"
-        if abs(c) != 1:
-            body = f"{format_value(abs(c))}*{body}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
+    for sign, body in terms:
+        if parts:
+            parts.append(f" {'+' if sign > 0 else '-'} {body}")
         else:
-            parts.append(f" {'+' if c > 0 else '-'} {body}")
-    return "".join(parts) + f" = {format_value(identity.rhs)}*pi"
+            parts.append(body if sign > 0 else f"-{body}")
+    return "".join(parts)
+
+
+def format_identity(identity: Identity) -> str:
+    terms = []
+    for c, arg in _canonical_terms(identity):
+        body = f"atan({format_value(arg)})"
+        terms.append((c, body if abs(c) == 1 else f"{format_value(abs(c))}*{body}"))
+    return _signed_sum(terms) + f" = {format_value(identity.rhs)}*pi"
 
 
 class _Scanner:

@@ -58,14 +58,46 @@ def _text_int(digits: str) -> int:
     return _text_int(digits[:-half]) * 10**half + _text_int(digits[-half:])
 
 
+_TRIAL_BOUND = 10**6  # trial division stops here; below its cube, all is exact
+# The first 13 primes as Miller-Rabin bases decide primality of every n
+# below 3317044064679887385961981 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 41 below _MR_LIMIT."""
+    e, odd = 0, n - 1
+    while odd % 2 == 0:
+        odd //= 2
+        e += 1
+    for a in _MR_BASES:
+        y = pow(a, odd, n)
+        if y == 1:
+            continue
+        for _ in range(e):  # for prime n, a**(odd * 2**r) = -1 for some r < e
+            if y == n - 1:
+                break
+            y = y * y % n
+        else:
+            return False
+    return True
+
+
 def _squarefree_decompose(d: int) -> tuple[int, int]:
-    """Write d >= 1 as s*s*core with core squarefree; return (s, core)."""
-    s, core = 1, 1
+    """Write d >= 0 as s*s*core with core squarefree; return (s, core).
+
+    Factors up to _TRIAL_BOUND are divided out.  The cofactor is then a
+    square, or below the bound's cube and so a product of at most two
+    distinct primes, or a proven prime; any other cofactor raises
+    InvalidRadicandError, since its square part cannot be found quickly.
+    """
     r = math.isqrt(d)
     if r * r == d:
         return r, 1
+    radicand, s, core = d, 1, 1
     f = 2
-    while f * f <= d:
+    while f <= _TRIAL_BOUND and f * f <= d:
         if d % f == 0:
             e = 0
             while d % f == 0:
@@ -75,7 +107,15 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
             if e & 1:
                 core *= f
         f += 1 if f == 2 else 2
-    return s, core * d
+    r = math.isqrt(d)
+    if r * r == d:
+        return s * r, core
+    if d < _TRIAL_BOUND**3 or (d < _MR_LIMIT and _is_prime(d)):
+        return s, core * d
+    raise InvalidRadicandError(
+        f"cannot certify radicand {_int_text(radicand)} as squarefree: its cofactor "
+        f"{_int_text(d)} has no prime factor up to {_TRIAL_BOUND} and is not a proven prime"
+    )
 
 
 @dataclass(frozen=True)
@@ -343,10 +383,8 @@ def value_sqrt(x: Value) -> Value:
             f"sqrt of {x} does not lie in Q(sqrt({x.d}))"
         )
     q = Fraction(x)
-    if q == 0:
-        return Fraction(0)
-    exact = _fraction_sqrt(q)
-    if exact is not None:
-        return exact
-    # sqrt(p/q) = sqrt(p*q)/q with p*q > 0
-    return surd_normalize(0, Fraction(1, q.denominator), q.numerator * q.denominator)
+    # p/q in lowest terms: sqrt(sp^2*cp / (sq^2*cq)) = sp/(sq*cq) * sqrt(cp*cq),
+    # and cp*cq is squarefree because p and q are coprime
+    sp, cp = _squarefree_decompose(q.numerator)
+    sq, cq = _squarefree_decompose(q.denominator)
+    return _make(Fraction(0), Fraction(sp, sq * cq), cp * cq)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,11 @@ import arctanforge.cli as cli
 import arctanforge.values as values
 from arctanforge import (
     DigitResult,
+    IdentitySyntaxError,
     format_identity,
     identity_from_dict,
     machin_pair,
+    parse_identity,
     verify_exact,
 )
 from arctanforge.cli import run
@@ -102,6 +106,12 @@ def test_half_command(capsys):
         "2*atan(1/2) + atan(3/4) = 1/2*pi",
         "2*atan(-2) + atan(3/4) = -1/2*pi",
     ]
+    # sqrt(1 + 1/q^2): the radicand q^2 + 1 and the square q^2 are factored apart
+    assert run(["half", "--x", "1/10007"]) == 0
+    assert out_lines(capsys) == [
+        "2*atan(surd(-1/10007,5/10007,4005602)) + atan(1/10007) = 1/2*pi",
+        "2*atan(surd(-1/10007,-5/10007,4005602)) + atan(1/10007) = -1/2*pi",
+    ]
 
 
 def test_diff_command(capsys):
@@ -115,6 +125,30 @@ def test_rootpoly_text(capsys):
     lines = out_lines(capsys)
     assert lines[0] == "1/7*z^2 + 2*z - 1/7"
     assert set(lines[1:]) == {"root: surd(-7,5,2)", "root: surd(-7,-5,2)"}
+    assert run(["rootpoly", "--n", "2", "--x", "1/10007"]) == 0
+    assert out_lines(capsys) == [
+        "1/10007*z^2 + 2*z - 1/10007",
+        "root: surd(-10007,5,4005602)",
+        "root: surd(-10007,-5,4005602)",
+    ]
+    q = 1000003  # prime above the trial bound; q^2 + 1 is squarefree
+    assert run(["rootpoly", "--n", "2", "--x", f"1/{q}"]) == 0
+    assert out_lines(capsys)[1:] == [
+        f"root: surd(-{q},1,{q * q + 1})",
+        f"root: surd(-{q},-1,{q * q + 1})",
+    ]
+
+
+def test_rootpoly_large_prime_radicand_is_quick(capsys):
+    # 10^24 + 7 is prime; trial division up to its square root never ends
+    x = "surd(1,1,1000000000000000000000007)"
+    start = time.perf_counter()
+    assert run(["rootpoly", "--n", "2", "--x", x]) == 0
+    assert time.perf_counter() - start < 1
+    assert out_lines(capsys) == [f"{x}*z^2 + 2*z - {x}"]
+    # (10^6 + 3) * (10^12 + 39): no factor up to the trial bound, and not prime
+    assert run(["rootpoly", "--n", "2", "--x", "surd(1,1,1000003000039000117)"]) == 2
+    assert "cannot certify" in capsys.readouterr().err
 
 
 def test_rootpoly_json_cubic_has_no_roots(capsys):
@@ -241,6 +275,8 @@ def test_verify_empty_file_is_an_error(tmp_path, capsys):
     empty.write_text("# nothing here\n")
     assert run(["verify", "--exact", "--file", str(empty)]) == 2
     assert "no identities" in capsys.readouterr().err
+    assert run(["measure", "--file", str(empty)]) == 2
+    assert "no identities" in capsys.readouterr().err
 
 
 def test_digits_unconfirmed_tail_warns(monkeypatch, capsys):
@@ -282,3 +318,72 @@ def test_unknown_command_and_empty_argv():
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["gen", "--help"]) == 0
+
+
+# Pieces of option values: ASCII and non-ASCII digits, signs, separators and
+# junk.  At most three pieces keep every accepted number below 1000.
+FUZZ_PIECES = ["0", "1", "2", "7", "1", "2", "7", "-", "/", "+", "_", " ", "\u0667", "\u0663",
+               "\u0661\u0662", "\u06f5", "\u0966", "\u00b2", "x", ".", "e", "surd"]
+
+
+def grammar_number(text: str, integer: bool):
+    """text read as a number where a document line takes one, or None."""
+    try:
+        arg = parse_identity(f"atan({text}) = 1/4*pi").terms[0].arg
+    except IdentitySyntaxError:
+        return None
+    if integer and not (isinstance(arg, Fraction) and arg.denominator == 1):
+        return None
+    return arg
+
+
+def test_numeric_options_fuzz(tmp_path, capsys):
+    # each option reads numbers with the document grammar, and no input
+    # ends in anything but exit 0, 1 or 2 without a traceback
+    doc = tmp_path / "ids.txt"
+    doc.write_text("atan(1) = 1/4*pi\n")
+    slots = [  # argv with {} for the value, and whether it must be an integer
+        (["gen", "--n={}", "--x=3"], True),
+        (["quad", "--h={}", "--k=-2", "--alpha=0,1,2"], True),
+        (["quad", "--h=0", "--k={}", "--alpha=0,1,2"], True),
+        (["quad", "--h=0", "--k=-2", "--alpha={},1,2"], False),
+        (["quad", "--h=0", "--k=-2", "--alpha=0,{},2"], False),
+        (["quad", "--h=0", "--k=-2", "--alpha=0,1,{}"], True),
+        (["golden", "--family=odd", "--k={}"], True),
+        (["rootpoly", "--n={}", "--x=1/7"], True),
+        (["verify", "--numeric", "--digits={}", f"--file={doc}"], True),
+        (["digits", "--n={}", "--x=7", "--digits=5"], True),
+        (["digits", "--n=2", "--x=7", "--digits={}"], True),
+    ]
+    rng = random.Random(5)
+    for argv, integer in slots:
+        option = next(a for a in argv if "{}" in a).split("=")[0]
+        for _ in range(25):
+            text = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 3)))
+            code = run([a.format(text) for a in argv])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, text)
+            rejected = f"error: argument {option}" in err
+            assert rejected == (grammar_number(text, integer) is None), (argv, text, err)
+    for lo_hi in ("{}..3", "1..{}"):
+        for _ in range(25):
+            text = "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 3)))
+            code = run(["gen", "--n-range=" + lo_hi.format(text), "--x-range=2..3"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (lo_hi, text)
+            n = grammar_number(text, True)
+            ok = n is not None and (n <= 3 if lo_hi[0] == "{" else n >= 1)
+            assert ("error: argument --n-range" not in err) == ok, (lo_hi, text, err)
+
+
+def test_non_ascii_and_python_only_numbers_exit_2(capsys):
+    for argv in (
+        ["gen", "--n", "\u0667", "--x", "3"],
+        ["quad", "--h", "0", "--k", "-9", "--alpha", "0,1,\u0663"],
+        ["digits", "--n", "2", "--x", "7", "--digits", "\u0661\u0662"],
+        ["gen", "--n", "1_0", "--x", "3"],
+        ["gen", "--n", "+7", "--x", "3"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err, argv

@@ -103,6 +103,10 @@ def test_odot_pow_right_angle():
 def test_odot_pow_zero_argument():
     assert odot_pow(Fraction(0), 3) == 0
     assert odot_pow_reciprocal(Fraction(2), 1) == Fraction(1, 2)
+    # 1/0 is the right angle: an even number of them is a multiple of pi
+    assert odot_pow_reciprocal(Fraction(0), 4) == 0
+    with pytest.raises(RightAngleError):
+        odot_pow_reciprocal(Fraction(0), 3)
 
 
 def test_normal_angle_canonical():

@@ -15,7 +15,7 @@ from arctanforge import (
     value_sign,
     value_sqrt,
 )
-from arctanforge.values import _int_text, _text_int, as_value
+from arctanforge.values import _int_text, _squarefree_decompose, _text_int, as_value
 
 
 def rnd_fraction(rng, span=50):
@@ -56,6 +56,43 @@ def test_surd_normalize_extracts_squares():
         surd_normalize(0, 1, 0)
     with pytest.raises(InvalidRadicandError):
         surd_normalize(0, 1, -3)
+
+
+def test_squarefree_decompose_exact_below_bound():
+    # radicands s*s*core built from known primes, so the answer is known
+    # without factoring; every product stays below 10^12
+    rng = random.Random(11)
+    small = [2, 3, 5, 7, 11, 13, 97, 9973]
+    large = [10007, 10009, 10037, 100003, 999983, 1000003, 999999937]
+    for _ in range(400):
+        core = 1
+        for p in rng.sample(small, rng.randint(0, 3)) + rng.sample(large, rng.randint(0, 2)):
+            if core * p < 10**12:
+                core *= p
+        s = rng.choice([1, 2, 6, 97, 10007, 999983, 10**6 - 1])
+        while s * s * core >= 10**12:
+            s //= 2
+        assert _squarefree_decompose(s * s * core) == (s, core), (s, core)
+
+
+def test_squarefree_decompose_large_radicands():
+    p = 10**24 + 7  # prime, proved by Miller-Rabin with 13 bases
+    assert _squarefree_decompose(p) == (1, p)
+    assert _squarefree_decompose(18 * p) == (3, 2 * p)
+    assert _squarefree_decompose(5 * p * p) == (p, 5)
+    # below 10^18 every cofactor is certified: products of primes above the
+    # trial bound, and 149491 * 747451 * 34233211, a strong pseudoprime to
+    # the bases 2 to 23
+    assert _squarefree_decompose(10007 * 100000007) == (1, 10007 * 100000007)
+    assert _squarefree_decompose(1000003 * 999999937) == (1, 1000003 * 999999937)
+    assert _squarefree_decompose(6 * 1000003**2) == (1000003, 6)
+    assert _squarefree_decompose(3825123056546413051) == (1, 3825123056546413051)
+    # composites whose factors all exceed the trial bound cannot be certified:
+    # (10^6 + 3) * (10^12 + 39), and 10^30 + 57, which is above the
+    # Miller-Rabin limit
+    for d in ((10**6 + 3) * (10**12 + 39), 10**30 + 57):
+        with pytest.raises(InvalidRadicandError, match="cannot certify"):
+            surd_normalize(0, 1, d)
 
 
 def test_as_value_coercions():
@@ -155,6 +192,12 @@ def test_value_sqrt_rational():
     assert value_sqrt(Fraction(2)) == Surd(0, 1, 2)
     assert value_sqrt(Fraction(5, 4)) == Surd(0, Fraction(1, 2), 5)
     assert value_sqrt(Fraction(8)) == Surd(0, 2, 2)
+    # numerator and denominator are factored apart; their product is above 10^12
+    assert value_sqrt(Fraction(10007, 100000007)) == Surd(
+        0, Fraction(1, 100000007), 10007 * 100000007
+    )
+    assert value_sqrt(Fraction(12, 50)) == Surd(0, Fraction(1, 5), 6)
+    assert value_sqrt(Fraction(3, 8)) == Surd(0, Fraction(1, 4), 6)
     with pytest.raises(UnsupportedRadicalError):
         value_sqrt(Fraction(-1))
 

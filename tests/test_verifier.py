@@ -13,7 +13,9 @@ from arctanforge import (
     UnsupportedRhsError,
     golden_family,
     machin_pair,
+    phi_power,
     surd_normalize,
+    value_sign,
     verify_exact,
     verify_numeric,
 )
@@ -97,6 +99,9 @@ def test_numeric_wrong_identity():
 def test_numeric_surd_identity():
     v = verify_numeric(golden_family("even", 1), digits=100)
     assert v.holds
+    # the first argument a + b*sqrt(5) has |a| near 10^41 but is about -4*10^25
+    v = verify_numeric(golden_family("even", 100), digits=1000)
+    assert v.holds and not v.indeterminate, v.numeric_residual
 
 
 def test_numeric_zero_angle():
@@ -173,6 +178,12 @@ def test_interval_sqrt_and_surds():
     slack = Fraction(1, 10**12)
     assert Fraction(lo, ctx.scale) <= truth + slack
     assert truth - slack <= Fraction(hi, ctx.scale)
+    assert hi - lo <= 4
+    # 1/phi^200 = a + b*sqrt(5) with |a|, |b| near 10^41: a near cancellation
+    tiny = 1 / phi_power(200)
+    lo, hi = ctx.from_value(tiny)
+    assert value_sign(tiny - Fraction(lo, ctx.scale)) > 0
+    assert value_sign(Fraction(hi, ctx.scale) - tiny) > 0
     assert hi - lo <= 4
 
 
