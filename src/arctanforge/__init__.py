@@ -23,6 +23,7 @@ from .errors import (
     IdentitySyntaxError,
     IncompatibleFieldError,
     InconsistentInputError,
+    InvalidArgumentError,
     InvalidRadicandError,
     RationalOnlyError,
     ReductionRequiredError,
@@ -89,6 +90,7 @@ __all__ = [
     "IdentitySyntaxError",
     "IncompatibleFieldError",
     "InconsistentInputError",
+    "InvalidArgumentError",
     "InvalidRadicandError",
     "NormalAngle",
     "OdotPolynomial",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .engine import lehmer_measure, pi_digits
-from .errors import ArctanForgeError, IdentitySyntaxError
+from .errors import ArctanForgeError, IdentitySyntaxError, InvalidArgumentError
 from .generator import (
     GOLDEN_KINDS,
     Identity,
@@ -152,7 +152,7 @@ def _read_document(path: str) -> IdentityDocument:
     doc = parse_document(text)
     if not doc.entries:
         # exit 0 means "verified", so an empty document must not slip through
-        raise ValueError("no identities in file")
+        raise InvalidArgumentError("no identities in file")
     return doc
 
 
@@ -174,7 +174,7 @@ def _cmd_gen(args) -> Result:
     if args.n is not None and args.x is not None:
         return _document([(machin_pair(args.n, parse_value(args.x)), None)])
     if args.n_range is None or args.x_range is None:
-        raise ValueError("need --n and --x, or --n-range and --x-range")
+        raise InvalidArgumentError("need --n and --x, or --n-range and --x-range")
     return _document(
         (machin_pair(n, Fraction(x)), (("family", "machin"), ("n", str(n)), ("x", str(x))))
         for n in args.n_range
@@ -253,7 +253,7 @@ def _cmd_digits(args) -> Result:
     elif args.n is not None and args.x is not None:
         ident = machin_pair(args.n, parse_value(args.x))
     else:
-        raise ValueError("need --file, or --n and --x")
+        raise InvalidArgumentError("need --file, or --n and --x")
     result = pi_digits(ident, args.digits)
     if result.unrounded:
         print("warning: last digit unconfirmed (guard region degenerate)", file=sys.stderr)
@@ -280,7 +280,7 @@ def run(argv: list[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         code, payload, lines = args.run(args)
-    except (ArctanForgeError, ValueError, OSError, ZeroDivisionError) as e:
+    except (ArctanForgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.json:

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateArgumentError,
     DegenerateIdentityError,
     InconsistentInputError,
+    InvalidArgumentError,
     RationalOnlyError,
     ReductionRequiredError,
 )
@@ -129,7 +130,7 @@ def _run_digits(work, rprime: Fraction, digits: int, guard: int) -> tuple[str, b
 def pi_digits(identity: Identity, digits: int) -> DigitResult:
     """pi to `digits` truncated decimals via (sum c_i*arctan(t_i)) / rhs."""
     if digits < 1:
-        raise ValueError("digits must be positive")
+        raise InvalidArgumentError("digits must be positive")
     start = time.perf_counter()
     for term in identity.terms:
         if isinstance(term.arg, Surd):

@@ -5,6 +5,10 @@ class ArctanForgeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgumentError(ArctanForgeError, ValueError):
+    """An argument is outside its documented domain (e.g. digits < 1)."""
+
+
 class InvalidRadicandError(ArctanForgeError):
     """Radicand of a surd must be a positive integer."""
 

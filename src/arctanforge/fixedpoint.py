@@ -1,19 +1,28 @@
-"""Fixed-point interval arithmetic over scaled integers.
+"""Integer enclosures of arctangents at a fixed working precision.
 
-A real value is enclosed by a pair (lo, hi) of integers meaning
-[lo/S, hi/S] with S = 10**wp; every operation returns an interval that
-contains the exact image of its operand intervals, so a final interval is
-a rigorous two-sided bound and residual comparisons can never be fooled by
-rounding.  The only analytic truncation is the arctangent series tail,
-which is covered by the alternating-series bound.
+An interval (lo, hi) of integers means [lo/S, hi/S] with S = 10**wp.
+``FixedPointContext.atan`` takes an exact Value x and returns an interval
+that contains arctan(x)*S, built from integer floors whose errors are
+counted, for rational and surd arguments alike:
 
-Arctangents reduce by the half-angle rewrite
-
-    arctan(t) = 2*arctan(t / (1 + sqrt(1 + t**2)))
-
-until |t| <= 1/2; the rewrite is valid for every real t and at most a
-handful of steps are needed regardless of magnitude, after which the
-series Sum (-1)^k t^(2k+1) / (2k+1) converges geometrically (ratio <= ~1/4).
+1. ``NormalAngle(x, 0).canonical()`` and the difference identity
+   arctan(t) = s*pi/4 + arctan((t - s)/(1 + s*t)), s = sign(t), write x as
+   k*pi/4 + arctan(t) with |t| <= 1/2.
+2. A bit-burst loop (Brent, "Fast multiple-precision evaluation of
+   elementary functions", JACM 1976) takes a rational chunk r off t: t
+   truncated to m decimals, m = 1, 2, 4, ..., or t itself once t is a
+   fraction whose denominator is at most 10**m.  Then
+   arctan(t) = arctan(r) + arctan((t - r)/(1 + r*t)) exactly in Q(sqrt(d)),
+   with no half-turn because r*t >= 0, and the new |t| is below 10**-m.
+3. Each arctan(p/q) is the series Sum (-1)^k (p/q)^(2k+1)/(2k+1) run as
+   one integer recurrence ``power = -power*p*p // (q*q)``,
+   ``total += power // (2k+1)``.  With (p/q)**2 <= 1/4 every power is
+   within 4/3 of its true value, so the first term is off by less than 1,
+   every later term by less than 2, and the tail after the first zero
+   power by less than 1: the error is at most 2 units per term.
+4. Once 10**(3m) >= S, the remainder |t| < 10**-m has
+   |arctan(t) - t| < |t|**3/3 < 1/S, so the exact floor and ceiling of
+   t*S, each moved out by one unit, enclose arctan(t)*S.
 
 pi itself comes from Euler's 5*arctan(1/7) + 2*arctan(3/79) = pi/4
 (``_PI_BOOTSTRAP``); the exact fold proves that identity before the first
@@ -26,8 +35,9 @@ import functools
 from fractions import Fraction
 from math import isqrt
 
-from .odot import fold_terms
-from .values import Surd, Value
+from .errors import InvalidArgumentError
+from .odot import NormalAngle, fold_terms
+from .values import Surd, Value, as_value, value_sign
 
 __all__ = ["FixedPointContext", "pi_interval"]
 
@@ -37,118 +47,81 @@ _PI_BOOTSTRAP = ((5, Fraction(1, 7)), (2, Fraction(3, 79)))
 Interval = tuple[int, int]
 
 
-def _fdiv(a: int, b: int) -> int:
-    if b < 0:
-        a, b = -a, -b
-    return a // b
+def _floor(v: Value, scale: int) -> int:
+    """floor(v*scale), exactly.
+
+    A surd is (A + B*sqrt(d))/D over integers; B*sqrt(d) is irrational, so
+    replacing it by its floor leaves the floor of the quotient unchanged.
+    """
+    if isinstance(v, Surd):
+        den = v.a.denominator * v.b.denominator
+        a = v.a.numerator * v.b.denominator * scale
+        b = v.b.numerator * v.a.denominator * scale
+        root = isqrt(b * b * v.d)
+        return (a + (root if b > 0 else -root - 1)) // den
+    return v.numerator * scale // v.denominator
 
 
-def _cdiv(a: int, b: int) -> int:
-    if b < 0:
-        a, b = -a, -b
-    return -((-a) // b)
+def _times(u: Interval, q: Fraction | int) -> Interval:
+    """Integer enclosure of q times the interval u."""
+    lo, hi = sorted((u[0] * q.numerator, u[1] * q.numerator))
+    return lo // q.denominator, -(-hi // q.denominator)
+
+
+def _atan_series(p: int, q: int, scale: int) -> Interval:
+    """An interval containing arctan(p/q)*scale, for (p/q)**2 <= 1/4 and q > 0."""
+    power = p * scale // q
+    total, err, k = power, 2, 1
+    pp, qq = p * p, q * q
+    while power:
+        power = -power * pp // qq
+        total += power // (2 * k + 1)
+        err += 2
+        k += 1
+    return total - err, total + err
 
 
 class FixedPointContext:
-    """Interval operations at a fixed working precision of wp digits."""
+    """Integer enclosures at a fixed working precision of wp digits."""
 
     def __init__(self, wp: int):
         if wp < 1:
-            raise ValueError("working precision must be positive")
+            raise InvalidArgumentError("working precision must be positive")
         self.wp = wp
         self.scale = 10**wp
 
-    # -- conversions ----------------------------------------------------
-
-    def from_fraction(self, fr: Fraction) -> Interval:
-        num = fr.numerator * self.scale
-        return (_fdiv(num, fr.denominator), _cdiv(num, fr.denominator))
-
     def from_value(self, v: Value) -> Interval:
-        if isinstance(v, Surd):
-            # (A + B*sqrt(d))/D over integers with a single square root, so a
-            # nearly cancelling a + b*sqrt(d) loses no digits; sqrt(d) is
-            # irrational, hence r < |B|*S*sqrt(d) < r + 1 strictly
-            a, b = v.a, v.b
-            den = a.denominator * b.denominator
-            num = a.numerator * b.denominator * self.scale
-            r = isqrt((b.numerator * a.denominator * self.scale) ** 2 * v.d)
-            lo, hi = (num + r, num + r + 1) if b > 0 else (num - r - 1, num - r)
-            return (_fdiv(lo, den), _cdiv(hi, den))
-        return self.from_fraction(Fraction(v))
+        """(floor, ceil) of v*S."""
+        return _floor(v, self.scale), -_floor(-v, self.scale)
 
-    # -- ring operations ------------------------------------------------
-
-    def neg(self, u: Interval) -> Interval:
-        return (-u[1], -u[0])
-
-    def add(self, u: Interval, v: Interval) -> Interval:
-        return (u[0] + v[0], u[1] + v[1])
-
-    def sub(self, u: Interval, v: Interval) -> Interval:
-        return (u[0] - v[1], u[1] - v[0])
-
-    def mul(self, u: Interval, v: Interval) -> Interval:
-        prods = (u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])
-        return (_fdiv(min(prods), self.scale), _cdiv(max(prods), self.scale))
-
-    def mul_int(self, u: Interval, k: int) -> Interval:
-        if k < 0:
-            return (u[1] * k, u[0] * k)
-        return (u[0] * k, u[1] * k)
-
-    def div_int(self, u: Interval, k: int) -> Interval:
-        if k < 0:
-            u, k = self.neg(u), -k
-        return (_fdiv(u[0], k), _cdiv(u[1], k))
-
-    def div(self, u: Interval, v: Interval) -> Interval:
-        if v[0] <= 0 <= v[1]:
-            raise ZeroDivisionError("interval denominator contains zero")
-        quots = []
-        for a in u:
-            for b in v:
-                quots.append((a * self.scale, b))
-        return (
-            min(_fdiv(a, b) for a, b in quots),
-            max(_cdiv(a, b) for a, b in quots),
-        )
-
-    def sqrt(self, u: Interval) -> Interval:
-        if u[1] < 0:
-            raise ValueError("square root of a negative interval")
-        lo = max(u[0], 0) * self.scale
-        hi = u[1] * self.scale
-        r = isqrt(hi)
-        return (isqrt(lo), r if r * r == hi else r + 1)
-
-    # -- arctangent -----------------------------------------------------
-
-    def atan(self, u: Interval) -> Interval:
-        doublings = 0
-        one = (self.scale, self.scale)
-        while max(abs(u[0]), abs(u[1])) * 2 > self.scale:
-            if doublings > 64:
-                raise RuntimeError("argument reduction failed to contract")
-            root = self.sqrt(self.add(one, self.mul(u, u)))
-            u = self.div(u, self.add(one, root))
-            doublings += 1
-        x2 = self.mul(u, u)
-        acc = u
-        term = u
-        k = 1
-        while True:
-            term = self.neg(self.mul(term, x2))
-            contrib = self.div_int(term, 2 * k + 1)
-            bound = max(abs(contrib[0]), abs(contrib[1]))
-            if bound <= 2:
-                # alternating series: the dropped tail is within the first
-                # omitted term, which `bound` encloses
-                acc = (acc[0] - bound, acc[1] + bound)
+    def atan(self, x: Value) -> Interval:
+        """An interval containing arctan(x)*S."""
+        angle = NormalAngle(as_value(x), 0).canonical()
+        t, quarters = angle.t, 2 * angle.h
+        if value_sign(2 * abs(t) - 1) > 0:
+            s = value_sign(t)
+            t, quarters = (t - s) / (1 + s * t), quarters + s
+        lo = hi = 0
+        m = 1
+        while value_sign(t):
+            if isinstance(t, Fraction) and t.denominator <= 10**m:
+                r = t
+            else:
+                r = Fraction(value_sign(t) * _floor(abs(t), 10**m), 10**m)
+            if r:
+                a, b = _atan_series(r.numerator, r.denominator, self.scale)
+                lo, hi = lo + a, hi + b
+                t = (t - r) / (1 + r * t)
+            if value_sign(t) and 10 ** (3 * m) >= self.scale:
+                # |t| < 10**-m, so |arctan(t) - t| < |t|**3/3 < 1/S
+                a, b = self.from_value(t)
+                lo, hi = lo + a - 1, hi + b + 1
                 break
-            acc = self.add(acc, contrib)
-            k += 1
-        return self.mul_int(acc, 1 << doublings)
+            m *= 2
+        if quarters:
+            a, b = _times(pi_interval(self.wp), Fraction(quarters, 4))
+            lo, hi = lo + a, hi + b
+        return lo, hi
 
 
 @functools.cache
@@ -161,8 +134,8 @@ def _prove_pi_bootstrap() -> None:
 def pi_interval(wp: int) -> Interval:
     _prove_pi_bootstrap()
     ctx = FixedPointContext(wp)
-    quarter: Interval = (0, 0)
+    lo = hi = 0
     for coeff, arg in _PI_BOOTSTRAP:
-        arm = ctx.atan(ctx.from_fraction(arg))
-        quarter = ctx.add(quarter, ctx.mul_int(arm, coeff))
-    return ctx.mul_int(quarter, 4)
+        a, b = _times(ctx.atan(arg), 4 * coeff)
+        lo, hi = lo + a, hi + b
+    return lo, hi

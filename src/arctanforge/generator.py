@@ -26,6 +26,7 @@ from .errors import (
     DegenerateArgumentError,
     IncompatibleFieldError,
     InconsistentInputError,
+    InvalidArgumentError,
     RightAngleError,
     UnsupportedRadicalError,
 )
@@ -56,7 +57,7 @@ class ArctanTerm:
 
     def __post_init__(self):
         if self.coeff == 0:
-            raise ValueError("zero coefficient")
+            raise InvalidArgumentError("zero coefficient")
         object.__setattr__(self, "arg", as_value(self.arg))
 
 
@@ -73,7 +74,7 @@ class Identity:
 
     def __post_init__(self):
         if not self.terms:
-            raise ValueError("an identity needs at least one term")
+            raise InvalidArgumentError("an identity needs at least one term")
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
@@ -98,7 +99,7 @@ def machin_pair(n: int, x) -> Identity:
     """n*A(1/x) + A((u_n - v_n)/(u_n + v_n)) with fold-computed rhs."""
     x = as_value(x)
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidArgumentError("n must be a positive integer")
     _reject_unit(x, "x")
     if value_sign(x) == 0:
         raise DegenerateArgumentError("x = 0 has no reciprocal argument")
@@ -154,13 +155,13 @@ def golden_family(kind: str, k: int) -> Identity:
     only_lucas:  A(L/2) - A((L-2)/(L+2)) = pi/4
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InvalidArgumentError("k must be nonnegative")
     if kind == "odd":
         m = 2 * k + 1
         return quad_reduce(*min_poly_phi_power(m), phi_power(m))
     if kind == "even":
         if k < 1:
-            raise ValueError("the even family starts at k = 1")
+            raise InvalidArgumentError("the even family starts at k = 1")
         m = 2 * k
         return quad_reduce(*min_poly_phi_power(m), phi_power(m))
     if kind == "lucas_minus":
@@ -179,7 +180,7 @@ def golden_family(kind: str, k: int) -> Identity:
         return Identity(terms, _rhs_from_fold(terms))
     if kind == "only_lucas":
         return diff_identity(Fraction(lucas(2 * k + 1), 2))
-    raise ValueError(f"unknown kind {kind!r}; expected one of {GOLDEN_KINDS}")
+    raise InvalidArgumentError(f"unknown kind {kind!r}; expected one of {GOLDEN_KINDS}")
 
 
 def half_turn(x) -> tuple[Identity, Identity]:

@@ -33,6 +33,7 @@ from typing import Iterable
 
 from .errors import (
     DegenerateArgumentError,
+    InvalidArgumentError,
     RightAngleError,
     UnsupportedRadicalError,
     UnsupportedRhsError,
@@ -87,7 +88,7 @@ def _tangent(angle: NormalAngle) -> Value:
 
 def _check_pow_args(x: Value, n: int) -> None:
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise InvalidArgumentError("n must be a positive integer")
     if isinstance(x, Fraction) and abs(x) == 1:
         raise DegenerateArgumentError("x = +-1 is excluded")
 

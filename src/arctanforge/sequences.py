@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvalidArgumentError
 from .values import Value, as_value, surd_normalize
 
 __all__ = [
@@ -43,7 +44,7 @@ def uv_pair(n: int, x) -> UVPair:
     set bit of n, so O(log n) complex multiplications.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidArgumentError("n must be nonnegative")
     x = as_value(x)
     u, v = Fraction(1), Fraction(0)
     for bit in bin(n)[2:]:
@@ -57,7 +58,7 @@ def uv_coefficients(n: int) -> tuple[list[int], list[int]]:
     """Integer coefficient lists of u_n and v_n, index = power of x: in
     (x + i)^n, x^j carries C(n, j) * i^(n-j), real for even n - j."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidArgumentError("n must be nonnegative")
     u, v = [0] * (n + 1), [0] * (n + 1)
     for j in range(n + 1):
         m = n - j
@@ -68,7 +69,7 @@ def uv_coefficients(n: int) -> tuple[list[int], list[int]]:
 def _lucas_fibonacci(m: int) -> tuple[int, int]:
     # (L_m, F_m) from phi^(j+1) = phi^j * phi with phi^j = (L_j + F_j*sqrt(5))/2
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise InvalidArgumentError("m must be nonnegative")
     L, F = 2, 0
     for _ in range(m):
         L, F = (L + 5 * F) // 2, (L + F) // 2
@@ -97,5 +98,5 @@ def phi_power(m: int) -> Value:
 def min_poly_phi_power(m: int) -> tuple[int, int]:
     """Coefficients (h, k) of the minimal polynomial t^2 - h*t + k of phi^m."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidArgumentError("m must be >= 1")
     return lucas(m), (-1) ** m

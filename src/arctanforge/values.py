@@ -58,7 +58,9 @@ def _text_int(digits: str) -> int:
     return _text_int(digits[:-half]) * 10**half + _text_int(digits[-half:])
 
 
-_TRIAL_BOUND = 10**6  # trial division stops here; below its cube, all is exact
+# trial division stops at the first bound that certifies the cofactor;
+# below the last bound's cube every radicand is exact
+_TRIAL_BOUNDS = (10**4, 10**6)
 # The first 13 primes as Miller-Rabin bases decide primality of every n
 # below 3317044064679887385961981 (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -87,34 +89,37 @@ def _is_prime(n: int) -> bool:
 def _squarefree_decompose(d: int) -> tuple[int, int]:
     """Write d >= 0 as s*s*core with core squarefree; return (s, core).
 
-    Factors up to _TRIAL_BOUND are divided out.  The cofactor is then a
-    square, or below the bound's cube and so a product of at most two
-    distinct primes, or a proven prime; any other cofactor raises
-    InvalidRadicandError, since its square part cannot be found quickly.
+    Factors up to the first of _TRIAL_BOUNDS are divided out.  The cofactor
+    is certified if it is a square, or below the bound's cube and so a
+    product of at most two distinct primes, or a proven prime; otherwise
+    trial division goes on to the next bound.  A cofactor still uncertified
+    after the last bound raises InvalidRadicandError, since its square part
+    cannot be found quickly.
     """
     r = math.isqrt(d)
     if r * r == d:
         return r, 1
     radicand, s, core = d, 1, 1
     f = 2
-    while f <= _TRIAL_BOUND and f * f <= d:
-        if d % f == 0:
-            e = 0
-            while d % f == 0:
-                d //= f
-                e += 1
-            s *= f ** (e // 2)
-            if e & 1:
-                core *= f
-        f += 1 if f == 2 else 2
-    r = math.isqrt(d)
-    if r * r == d:
-        return s * r, core
-    if d < _TRIAL_BOUND**3 or (d < _MR_LIMIT and _is_prime(d)):
-        return s, core * d
+    for bound in _TRIAL_BOUNDS:
+        while f <= bound and f * f <= d:
+            if d % f == 0:
+                e = 0
+                while d % f == 0:
+                    d //= f
+                    e += 1
+                s *= f ** (e // 2)
+                if e & 1:
+                    core *= f
+            f += 1 if f == 2 else 2
+        r = math.isqrt(d)
+        if r * r == d:
+            return s * r, core
+        if d < bound**3 or (d < _MR_LIMIT and _is_prime(d)):
+            return s, core * d
     raise InvalidRadicandError(
         f"cannot certify radicand {_int_text(radicand)} as squarefree: its cofactor "
-        f"{_int_text(d)} has no prime factor up to {_TRIAL_BOUND} and is not a proven prime"
+        f"{_int_text(d)} has no prime factor up to {_TRIAL_BOUNDS[-1]} and is not a proven prime"
     )
 
 

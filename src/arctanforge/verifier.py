@@ -2,11 +2,12 @@
 
 The exact path folds the left side into a NormalAngle and compares it with
 the angle named by the right side; it is authoritative.  The numeric path
-re-evaluates everything in interval fixed-point and checks the residual
-against a digit budget; it exists to catch bugs in the exact path and to
-handle right sides off the quarter-pi lattice, and it reports
-``indeterminate`` instead of guessing when the residual falls in the gray
-zone between clearly-zero and clearly-nonzero.
+encloses each arctangent between two integers at scale 10**wp
+(``FixedPointContext.atan``), sums c*arctan and -rhs*pi with integer floors
+and ceilings, and checks the residual against a digit budget; it exists to
+catch bugs in the exact path and to handle right sides off the quarter-pi
+lattice, and it reports ``indeterminate`` instead of guessing when the
+residual falls in the gray zone between clearly-zero and clearly-nonzero.
 
 The numeric path needs pi, which ``pi_interval`` builds from an identity
 that the exact fold proves first, so the two routes stay independent: no
@@ -18,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fixedpoint import FixedPointContext, Interval, pi_interval
+from .errors import InvalidArgumentError
+from .fixedpoint import FixedPointContext, _times, pi_interval
 from .generator import Identity
 from .odot import NormalAngle
 from .values import _int_text
@@ -60,7 +62,7 @@ def _sci(n: int, wp: int) -> str:
 
 
 def verify_numeric(identity: Identity, digits: int) -> Verdict:
-    """Interval evaluation of LHS - rhs*pi at `digits` decimal digits.
+    """Integer enclosure of LHS - rhs*pi at `digits` decimal digits.
 
     holds iff the residual is certainly below 10**(-digits+g); a residual
     certainly above 10**(-g) refutes; anything in between (or an enclosure
@@ -68,22 +70,17 @@ def verify_numeric(identity: Identity, digits: int) -> Verdict:
     caller may retry with more digits.  g is DEFAULT_GUARD (5 digits).
     """
     if digits < 10:
-        raise ValueError("digits must be at least 10")
+        raise InvalidArgumentError("digits must be at least 10")
     g = DEFAULT_GUARD
     wp = digits + g + 15
     ctx = FixedPointContext(wp)
-    total: Interval = (0, 0)
+    lo, hi = _times(pi_interval(wp), -identity.rhs)
     for term in identity.terms:
-        arm = ctx.atan(ctx.from_value(term.arg))
-        total = ctx.add(total, ctx.mul_int(arm, term.coeff))
-    rhs_iv = ctx.mul(pi_interval(wp), ctx.from_fraction(identity.rhs))
-    residual = ctx.sub(total, rhs_iv)
+        a, b = _times(ctx.atan(term.arg), term.coeff)
+        lo, hi = lo + a, hi + b
 
-    if residual[0] <= 0 <= residual[1]:
-        mag_lo = 0
-    else:
-        mag_lo = min(abs(residual[0]), abs(residual[1]))
-    mag_hi = max(abs(residual[0]), abs(residual[1]))
+    mag_lo = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
+    mag_hi = max(abs(lo), abs(hi))
     hold_bound = 10 ** (wp - digits + g)
     noise_bound = 10 ** (wp - g)
     if mag_hi < hold_bound:
@@ -93,7 +90,7 @@ def verify_numeric(identity: Identity, digits: int) -> Verdict:
     else:
         holds, indeterminate = False, True
 
-    mid = (residual[0] + residual[1]) // 2
-    rad = (residual[1] - residual[0] + 1) // 2
+    mid = (lo + hi) // 2
+    rad = (hi - lo + 1) // 2
     report = f"{_sci(mid, wp)} +/- {_sci(rad, wp)}"
     return Verdict(holds, identity.fold(), identity.rhs, report, indeterminate)

@@ -37,9 +37,10 @@ class WindingInput:
 def _winding_literal_at(n: int, x: Value, wp: int) -> tuple[int, Fraction] | None:
     # One refinement pass; None means wp was too coarse to classify.
     ctx = FixedPointContext(wp)
-    pi_iv = pi_interval(wp)
-    na = ctx.mul_int(ctx.atan(ctx.from_value(1 / x)), n)
-    diff = ctx.sub(na, ctx.div_int(pi_iv, 4))  # n*A(1/x) - pi/4
+    pi_lo, pi_hi = pi_interval(wp)
+    a_lo, a_hi = ctx.atan(1 / x)
+    # n*A(1/x) - pi/4 between an integer floor and ceiling (n >= 1)
+    diff = (n * a_lo + (-pi_hi // 4), n * a_hi - pi_lo // 4)
     if diff[1] < 0:
         sgn = -1
         absdiff = (-diff[1], -diff[0])
@@ -48,7 +49,8 @@ def _winding_literal_at(n: int, x: Value, wp: int) -> tuple[int, Fraction] | Non
         absdiff = diff
     else:
         return None
-    T = ctx.div(absdiff, pi_iv)
+    # |diff|/pi, both bounds positive
+    T = (absdiff[0] * ctx.scale // pi_hi, -(-absdiff[1] * ctx.scale // pi_lo))
     fl = T[0] // ctx.scale
     if T[1] // ctx.scale != fl:
         return None

@@ -13,10 +13,15 @@ import arctanforge.values as values
 from arctanforge import (
     DigitResult,
     IdentitySyntaxError,
+    diff_identity,
     format_identity,
+    golden_family,
+    half_turn,
     identity_from_dict,
     machin_pair,
     parse_identity,
+    quad_reduce,
+    surd_normalize,
     verify_exact,
 )
 from arctanforge.cli import run
@@ -387,3 +392,53 @@ def test_non_ascii_and_python_only_numbers_exit_2(capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err, argv
+
+
+LINE_PIECES = ["-", "/", "+", "*", "(", ")", ",", " ", "=", "pi", "atan(1/3)", "surd(1,1,",
+               "10007", "\u0667", "x"]
+
+
+def mutated_lines(rng: random.Random, count: int):
+    """Lines of generated identities with one to three random edits each."""
+    idents = [machin_pair(n, Fraction(x)) for n, x in ((1, 2), (4, 5), (3, 7), (7, 3))]
+    idents += [golden_family(kind, 2) for kind in ("odd", "even", "lucas_minus", "only_lucas")]
+    idents += [quad_reduce(2, -1, surd_normalize(1, 1, 2)), *half_turn(Fraction(3, 4))]
+    idents += [diff_identity(surd_normalize(3, -1, 2))]
+    lines = [format_identity(i) for i in idents]
+    for _ in range(count):
+        line = rng.choice(lines)
+        for _ in range(rng.randint(1, 3)):
+            digits = [j for j, ch in enumerate(line) if ch.isdigit()]
+            edit = rng.random()
+            if edit < 0.6 and digits:  # change a number, so the line still parses
+                i = rng.choice(digits)
+                line = line[:i] + rng.choice("0123456789-") + line[i + rng.randint(0, 1):]
+            elif edit < 0.8:  # insert a piece anywhere
+                i = rng.randint(0, len(line))
+                line = line[:i] + rng.choice(LINE_PIECES) + line[i:]
+            else:  # delete a span
+                i = rng.randint(0, len(line))
+                line = line[:i] + line[i + rng.randint(1, 3):]
+        yield line
+
+
+def test_mutated_document_lines_fuzz(tmp_path, capsys):
+    # a mutated line either gets a verdict (exit 0 or 1) or is a typed input
+    # error (exit 2), quickly and without a traceback; where the exact fold
+    # gives a verdict, the interval route gives the same one
+    doc = tmp_path / "line.txt"
+    codes = set()
+    for line in mutated_lines(random.Random(17), 150):
+        doc.write_text(line + "\n", encoding="utf-8")
+        exact = None
+        for mode in (["--exact"], ["--numeric", "--digits", "20"]):
+            start = time.perf_counter()
+            code = run(["verify", *mode, "--file", str(doc)])
+            err = capsys.readouterr().err
+            assert time.perf_counter() - start < 2.0, (mode, line)
+            assert code in (0, 1, 2) and "Traceback" not in err, (mode, line, err)
+            if exact in (0, 1):
+                assert code == exact, line
+            exact = code
+            codes.add(code)
+    assert codes == {0, 1, 2}

@@ -14,6 +14,7 @@ from arctanforge import (
     DigitResult,
     Identity,
     InconsistentInputError,
+    InvalidArgumentError,
     RationalOnlyError,
     ReductionRequiredError,
     diff_identity,
@@ -162,7 +163,7 @@ def test_pi_digits_degenerate_identities():
     for f in (Fraction(1), Fraction(0)):
         with pytest.raises(DegenerateIdentityError):
             pi_digits(diff_identity(f), 20)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         pi_digits(EULER, 0)
 
 

@@ -11,6 +11,7 @@ from arctanforge import (
     DegenerateArgumentError,
     Identity,
     InconsistentInputError,
+    InvalidArgumentError,
     RightAngleError,
     Surd,
     UnsupportedRadicalError,
@@ -76,7 +77,7 @@ def test_machin_pair_errors():
         machin_pair(4, Fraction(1))
     with pytest.raises(DegenerateArgumentError):
         machin_pair(4, Fraction(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         machin_pair(0, Fraction(3))
 
 
@@ -183,11 +184,11 @@ def test_golden_only_lucas():
 
 
 def test_golden_family_parameter_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         golden_family("even", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         golden_family("odd", -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         golden_family("square", 1)
 
 
@@ -286,9 +287,9 @@ def test_all_generated_identities_verify():
 
 
 def test_identity_type_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         ArctanTerm(0, Fraction(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         Identity((), Fraction(1, 4))
     ident = Identity([ArctanTerm(1, Fraction(1, 2))], Fraction(1, 4))
     assert isinstance(ident.terms, tuple)

@@ -8,6 +8,7 @@ import pytest
 
 from arctanforge import (
     DegenerateArgumentError,
+    InvalidArgumentError,
     NormalAngle,
     RightAngleError,
     Surd,
@@ -87,7 +88,7 @@ def test_odot_pow_degenerate_inputs():
         odot_pow(Fraction(1), 3)
     with pytest.raises(DegenerateArgumentError):
         odot_pow_reciprocal(Fraction(-1), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         odot_pow(Fraction(2), 0)
 
 
@@ -217,7 +218,7 @@ def test_root_poly_evaluate_at_root_is_zero():
 def test_root_poly_degenerate():
     with pytest.raises(DegenerateArgumentError):
         root_poly(2, Fraction(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         root_poly(0, Fraction(2))
 
 

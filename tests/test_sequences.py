@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from arctanforge import (
+    InvalidArgumentError,
     Surd,
     fibonacci,
     lucas,
@@ -106,7 +107,7 @@ def test_lucas_fibonacci_values():
     for m in range(200):
         assert (lucas(m), fibonacci(m)) == (w_eval(luc, m), w_eval(fib, m))
     for f in (lucas, fibonacci, phi_power):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             f(-1)
 
 

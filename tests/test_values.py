@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from arctanforge import (
     value_sign,
     value_sqrt,
 )
-from arctanforge.values import _int_text, _squarefree_decompose, _text_int, as_value
+from arctanforge.values import _int_text, _is_prime, _squarefree_decompose, _text_int, as_value
 
 
 def rnd_fraction(rng, span=50):
@@ -60,19 +61,29 @@ def test_surd_normalize_extracts_squares():
 
 def test_squarefree_decompose_exact_below_bound():
     # radicands s*s*core built from known primes, so the answer is known
-    # without factoring; every product stays below 10^12
+    # without factoring; every product stays below 10^18
     rng = random.Random(11)
     small = [2, 3, 5, 7, 11, 13, 97, 9973]
-    large = [10007, 10009, 10037, 100003, 999983, 1000003, 999999937]
+    large = [10007, 10009, 10037, 100003, 999983, 1000003, 999999937, 10**12 + 39]
     for _ in range(400):
         core = 1
-        for p in rng.sample(small, rng.randint(0, 3)) + rng.sample(large, rng.randint(0, 2)):
-            if core * p < 10**12:
+        for p in rng.sample(small, rng.randint(0, 3)) + rng.sample(large, rng.randint(0, 3)):
+            if core * p < 10**18:
                 core *= p
-        s = rng.choice([1, 2, 6, 97, 10007, 999983, 10**6 - 1])
-        while s * s * core >= 10**12:
+        s = rng.choice([1, 2, 6, 97, 10007, 999983, 10**6 - 1, 10**6 + 3, 10**9 - 1])
+        while s * s * core >= 10**18:
             s //= 2
         assert _squarefree_decompose(s * s * core) == (s, core), (s, core)
+
+
+def test_squarefree_decompose_primes_near_trillion_are_quick():
+    # a prime cofactor is proved after trial division to 10^4, not 10^6
+    primes = [p for p in range(10**12 + 1, 10**12 + 3000, 2) if _is_prime(p)][:50]
+    assert len(primes) == 50
+    start = time.perf_counter()
+    for p in primes:
+        assert _squarefree_decompose(p) == (1, p)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_squarefree_decompose_large_radicands():

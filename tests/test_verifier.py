@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from arctanforge import (
     ArctanTerm,
     Identity,
+    InvalidArgumentError,
     Surd,
     UnsupportedRhsError,
     golden_family,
@@ -19,6 +21,7 @@ from arctanforge import (
     verify_exact,
     verify_numeric,
 )
+from arctanforge.engine import atan_series_split
 from arctanforge.fixedpoint import FixedPointContext, pi_interval
 from arctanforge.odot import NormalAngle
 from arctanforge.verifier import _sci
@@ -122,8 +125,9 @@ def test_numeric_accepts_off_lattice_rhs():
 
 
 def test_numeric_digit_floor():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgumentError):
         verify_numeric(NEWTON, digits=9)
+    assert issubclass(InvalidArgumentError, ValueError)  # older callers catch ValueError
     assert verify_numeric(NEWTON, digits=10).holds
 
 
@@ -136,6 +140,14 @@ def test_numeric_indeterminate_band():
     small = ident([(1, Fraction(1, 1000))], Fraction(0))
     v = verify_numeric(small, digits=30)
     assert not v.holds and not v.indeterminate
+
+
+def test_verify_numeric_ten_thousand():
+    pi_interval.cache_clear()
+    start = time.perf_counter()
+    v = verify_numeric(MACHIN, digits=10000)
+    assert time.perf_counter() - start < 5.0
+    assert v.holds and not v.indeterminate, v.numeric_residual
 
 
 def test_exact_and_numeric_agree_on_grid():
@@ -158,17 +170,77 @@ def test_pi_interval_tightness():
     assert lo <= known * ctx.scale <= hi
 
 
+def _split_window(x: Fraction, digits: int) -> tuple[int, int]:
+    """Integers lo <= arctan(x)*10**digits <= hi from binary splitting alone.
+
+    arctan(x) = s*pi/2 - arctan(1/x) for |x| > 1, then
+    arctan(t) = s*pi/4 + arctan((t - s)/(1 + s*t)) for |t| > 1/2, with s the
+    sign, leave a series argument below 1/2; pi/4 is Machin's
+    4*arctan(1/5) - arctan(1/239).
+    """
+    quarters, c, t = 0, 1, x
+    if abs(t) > 1:
+        s = 1 if t > 0 else -1
+        quarters, c, t = 2 * s, -1, 1 / t
+    if 2 * abs(t) > 1:
+        s = 1 if t > 0 else -1
+        quarters, t = quarters + c * s, (t - s) / (1 + s * t)
+    lo = hi = 0
+    for c, t in ((c, t), (4 * quarters, Fraction(1, 5)), (-quarters, Fraction(1, 239))):
+        # the split's floor f has f - 10**-10 < arctan(t)*10**digits < f + 1 + 10**-10
+        f = atan_series_split(t.numerator, t.denominator, digits)
+        a, b = sorted((c * f, c * (f + 1)))
+        lo, hi = lo + a - 1, hi + b + 1
+    return lo, hi
+
+
+def _assert_encloses(x, wp: int, window: tuple[int, int], g: int) -> None:
+    # window is at scale 10**(wp + g), so a tight enclosure is not mistaken
+    # for a wrong one; the width bound covers pi's share in the quarter turns
+    lo, hi = FixedPointContext(wp).atan(x)
+    assert lo * 10**g <= window[0] and window[1] <= hi * 10**g, (x, wp)
+    assert hi - lo <= 150 * wp, (x, wp, hi - lo)
+
+
+WPS = list(range(1, 13)) + [40, 500]
+
+
 def test_interval_atan_contains_truth():
-    ctx = FixedPointContext(40)
     rng = random.Random(79)
-    slack = Fraction(1, 10**12)  # float oracle is only good to ~1e-16 relative
-    for _ in range(40):
-        q = Fraction(rng.randint(-200, 200), rng.randint(1, 50))
-        lo, hi = ctx.atan(ctx.from_fraction(q))
-        truth = Fraction(math.atan(q))
-        assert Fraction(lo, ctx.scale) <= truth + slack
-        assert truth - slack <= Fraction(hi, ctx.scale)
-        assert hi - lo <= 10**3
+    args = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
+    args += [Fraction(10**30, 7), Fraction(-(10**50), 3), Fraction(7, 10**30)]
+    args += [Fraction(-1, 10**40 + 1), Fraction(10**40 + 1, 10**40)]
+    for _ in range(30):
+        q = rng.randint(1, 10 ** rng.randint(1, 12))
+        args.append(Fraction(rng.randint(-3 * q, 3 * q), q))
+    for x in args:
+        for wp in rng.sample(WPS, 4) + [500]:
+            _assert_encloses(x, wp, _split_window(x, wp + 5), 5)
+    for wp in WPS:
+        assert FixedPointContext(wp).atan(Fraction(0)) == (0, 0)
+
+
+def test_interval_atan_contains_surd_truth():
+    # rational brackets x_lo <= x < x_hi, proved by exact signs, and
+    # arctan increasing: the split windows of the brackets enclose arctan(x)
+    rng = random.Random(83)
+    huge = [phi_power(200), -phi_power(7), 1 / phi_power(200)]
+    args = [Surd(1, 1, 2), surd_normalize(3, -1, 2) / 4, surd_normalize(0, Fraction(1, 10**20), 3)]
+    for _ in range(20):
+        d = rng.choice([2, 3, 5, 6, 7, 10007])
+        a = Fraction(rng.randint(-1000, 1000), rng.randint(1, 100))
+        b = Fraction(rng.choice((1, -1)) * rng.randint(1, 1000), rng.randint(1, 100))
+        args.append(surd_normalize(a, b, d))
+    # the split's cost grows like the cube of wp on a bracket with wp-digit
+    # terms, so only the arguments that reduce to a small arctangent run at 500
+    cases = [(x, wp) for x in huge + args for wp in rng.sample(WPS[:-1], 3)]
+    for x, wp in cases + [(x, 500) for x in huge]:
+        k = wp + 15
+        n = FixedPointContext(k).from_value(x)[0]
+        x_lo, x_hi = Fraction(n, 10**k), Fraction(n + 1, 10**k)
+        assert value_sign(x - x_lo) >= 0 and value_sign(x_hi - x) > 0
+        window = (_split_window(x_lo, wp + 5)[0], _split_window(x_hi, wp + 5)[1])
+        _assert_encloses(x, wp, window, 5)
 
 
 def test_interval_sqrt_and_surds():
