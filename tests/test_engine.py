@@ -1,8 +1,11 @@
 """Binary-splitting digit engine and convergence measure."""
 
+import contextlib
+import decimal
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from arctanforge import (
     machin_pair,
     pi_digits,
 )
+from arctanforge import engine
 from arctanforge.engine import _term_count, atan_series_split
 
 
@@ -92,11 +96,21 @@ def test_split_equals_naive_partial_sum():
 
 
 def test_term_count_is_minimal():
-    for p, q, d in [(1, 2, 20), (3, 79, 50), (1, 239, 100)]:
+    cases = [(1, 2, 20), (3, 79, 50), (1, 239, 100), (17, 31, 3172), (-17, 31, 30010)]
+    rng = random.Random(89)
+    while len(cases) < 40:
+        q = rng.randint(2, 10 ** rng.choice((1, 3, 70)))
+        p = rng.randint(1, q - 1) * rng.choice((1, -1))
+        # arguments near +-1 need thousands of terms and huge exact powers
+        if math.log10(q) - math.log10(abs(p)) > 0.05:
+            cases.append((p, q, rng.randint(1, 400)))
+    for p, q, d in cases:
         n = _term_count(p, q, d)
         assert 10**d * abs(p) ** (2 * n + 1) < (2 * n + 1) * q ** (2 * n + 1)
         m = n - 1
-        assert 10**d * abs(p) ** (2 * m + 1) >= (2 * m + 1) * q ** (2 * m + 1)
+        assert m == 0 or 10**d * abs(p) ** (2 * m + 1) >= (2 * m + 1) * q ** (2 * m + 1)
+        with decimal.localcontext(engine.EXACT):
+            assert _term_count(p, q, d, Decimal) == n
 
 
 def test_pi_digits_small():
@@ -195,6 +209,118 @@ def test_pi_digits_ten_thousand():
     assert len(a.digits) == 10_002
     assert a.digits == b.digits
     assert not a.unrounded and not b.unrounded
+
+
+@pytest.fixture(params=["int", "decimal"])
+def leaf_type(request, monkeypatch):
+    """Force every digit run onto one number type, whatever its size."""
+    crossover = math.inf if request.param == "int" else 0
+    monkeypatch.setattr(engine, "DECIMAL_DIGITS", crossover)
+    return request.param
+
+
+def test_feynman_point_one_tree_per_term(leaf_type, monkeypatch):
+    # the 1000-fold terms need a wide guard at the Feynman point; each
+    # arctangent is still split once, at that guard, on the forced type
+    calls, guards = [], []
+    enclose = engine._enclosure_text
+
+    def counted(p, q, digits):
+        calls.append((type(p), digits))
+        return atan_series_split(p, q, digits)
+
+    def attempt(values, rprime, digits, guard):
+        guards.append(guard)
+        return enclose(values, rprime, digits, guard)
+
+    monkeypatch.setattr(engine, "atan_series_split", counted)
+    monkeypatch.setattr(engine, "_enclosure_text", attempt)
+    euler = pi_digits(EULER, 761).digits
+    calls.clear()
+    guards.clear()
+    wide = euler_plus_zero(1000, QUARTER_PAIRS[1], QUARTER_PAIRS[0])
+    r = pi_digits(wide, 761)
+    assert r.digits == euler and not r.unrounded
+    assert guards == list(engine.GUARDS[:2])
+    kind = int if leaf_type == "int" else Decimal
+    assert calls == [(kind, 761 + engine.GUARDS[-1])] * len(wide.terms)
+
+
+def test_never_proves_a_wrong_digit_on_both_leaf_types(leaf_type):
+    rng = random.Random(113)
+    euler = pi_digits(EULER, 800).digits
+    for digits in rng.sample(range(700, 801), 30):
+        plus, minus = rng.sample(QUARTER_PAIRS, 2)
+        wide = euler_plus_zero(rng.randint(10**3, 10**4), plus, minus)
+        r = pi_digits(wide, digits)
+        assert r.unrounded or r.digits == euler[: digits + 2], (digits, wide)
+
+
+def test_signs_and_reductions_on_both_leaf_types(leaf_type):
+    euler = pi_digits(EULER, 200).digits
+    # a negative right side, and every branch of the reduction
+    negated = Identity([ArctanTerm(-t.coeff, t.arg) for t in MACHIN.terms], -MACHIN.rhs)
+    assert pi_digits(negated, 200).digits == euler
+    assert pi_digits(machin_pair(5, Fraction(2)), 200).digits == euler
+    for f in (Fraction(2, 7), Fraction(-2, 7), Fraction(7, 2), Fraction(-7, 2)):
+        assert pi_digits(diff_identity(f), 200).digits == euler, f
+    with pytest.raises(InconsistentInputError):
+        pi_digits(ident([(2, Fraction(1, 2)), (1, Fraction(1, 3))], Fraction(1, 4)), 20)
+
+
+def test_decimal_series_within_a_unit_of_the_int_floor():
+    # the truncated Decimal division may land one unit off the exact floor,
+    # never more, on either sign and on 70-digit arguments
+    rng = random.Random(97)
+    for _ in range(30):
+        q = rng.randint(2, 10 ** rng.choice((1, 3, 70)))
+        p = rng.randint(1, q - 1) * rng.choice((1, -1))
+        if math.log10(q) - math.log10(abs(p)) < 0.1:
+            continue
+        digits = rng.randint(1, 600 if q < 10**6 else 100)
+        exact = atan_series_split(p, q, digits)
+        d = atan_series_split(Decimal(p), Decimal(q), digits)
+        assert isinstance(d, Decimal) and d == d.to_integral_value()
+        assert abs(d - exact) <= 1, (p, q, digits)
+    assert atan_series_split(Decimal(0), Decimal(5), 40) == 0
+    # a single term past the leaf size is still converted
+    for p, q in ((1, 10**700 + 1), (-(3**1500), 2**2400)):
+        exact = atan_series_split(p, q, 50)
+        assert abs(atan_series_split(Decimal(p), Decimal(q), 50) - exact) <= 1
+
+
+def test_decimal_runs_in_an_exact_context(monkeypatch):
+    # machin_pair(200, 3) carries a 70-digit argument near -0.9, so its
+    # tree crosses over to Decimal at 300 digits without forcing
+    euler = pi_digits(EULER, 300).digits
+    contexts, kinds = [], set()
+    real = engine.localcontext
+
+    @contextlib.contextmanager
+    def spied(ctx):
+        with real(ctx) as c:
+            yield c
+            contexts.append(c)
+
+    def typed(p, q, digits):
+        kinds.add(type(p))
+        return atan_series_split(p, q, digits)
+
+    monkeypatch.setattr(engine, "localcontext", spied)
+    monkeypatch.setattr(engine, "atan_series_split", typed)
+    outer = decimal.getcontext()
+    outer.clear_flags()
+    r = pi_digits(machin_pair(200, Fraction(3)), 300)
+    assert r.digits == euler and not r.unrounded
+    assert kinds == {Decimal} and contexts
+    for c in contexts:
+        for signal in (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation):
+            assert c.traps[signal]
+        assert c.prec == decimal.MAX_PREC
+        assert not any(c.flags.values())
+    assert decimal.getcontext() is outer and not any(outer.flags.values())
+    with real(engine.EXACT), pytest.raises(decimal.Inexact):
+        Decimal(5).scaleb(-1).to_integral_exact()
 
 
 def test_lehmer_measure_values():
