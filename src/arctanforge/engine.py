@@ -107,11 +107,13 @@ class DigitResult:
     unrounded: bool = False
 
 
-def _split(p: int, q: int, a: int, b: int, num=int) -> tuple:
+def _split(p: int, q: int, a: int, b: int, num=int, need_p=True) -> tuple:
     """(P, Q, T) for the term range [a, b): the partial sum is T/Q.
 
     The values have type `num`; a Decimal tree builds each range of at most
-    LEAF_DIGITS estimated digits in ints and converts it whole.
+    LEAF_DIGITS estimated digits in ints and converts it whole.  Only a
+    left child's P is read, so the root and its right spine are called
+    without `need_p` and skip that product.
     """
     if num is not int and (
         b - a == 1 or (b - a) * math.log10(q * q * (2 * b + 1)) <= LEAF_DIGITS
@@ -124,8 +126,8 @@ def _split(p: int, q: int, a: int, b: int, num=int) -> tuple:
         return pj, q * q * (2 * a + 1), pj
     m = (a + b) // 2
     p1, q1, t1 = _split(p, q, a, m, num)
-    p2, q2, t2 = _split(p, q, m, b, num)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    p2, q2, t2 = _split(p, q, m, b, num, need_p)
+    return p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
 
 
 def _term_count(p: int, q: int, decimals: int, num=int) -> int:
@@ -184,7 +186,7 @@ def atan_series_split(p, q, digits: int):
         )
     with localcontext(EXACT):
         n = _term_count(p, q, digits + SPLIT_GUARD, num)
-        _, big_q, big_t = _split(p, q, 0, n, num)
+        _, big_q, big_t = _split(p, q, 0, n, num, need_p=False)
         if num is int:
             return big_t * 10**digits // big_q
         k = big_q.adjusted() - digits - 2

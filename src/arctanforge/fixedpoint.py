@@ -3,26 +3,33 @@
 An interval (lo, hi) of integers means [lo/S, hi/S] with S = 10**wp.
 ``FixedPointContext.atan`` takes an exact Value x and returns an interval
 that contains arctan(x)*S, built from integer floors whose errors are
-counted, for rational and surd arguments alike:
+counted.  All its reduction work is on one unreduced integer pair (p, q),
+q > 0, standing for t = p/q; no gcd is taken:
 
-1. ``NormalAngle(x, 0).canonical()`` and the difference identity
-   arctan(t) = s*pi/4 + arctan((t - s)/(1 + s*t)), s = sign(t), write x as
-   k*pi/4 + arctan(t) with |t| <= 1/2.
+1. ``NormalAngle(x, 0).canonical()`` writes x exactly as h*pi/2 + arctan(t)
+   with -1 < t <= 1.  A surd t is then replaced by p/S with p = floor(t*S),
+   one ``isqrt``.  arctan has slope at most 1, so this moves the angle by
+   less than one unit, and the final interval is widened by one unit on
+   each side.  A rational t is taken as it is.  When |t| > 1/2, the
+   difference identity arctan(t) = s*pi/4 + arctan((t - s)/(1 + s*t)),
+   s = sign(t), becomes (p, q) <- (p - s*q, q + s*p), leaving |t| <= 1/2.
 2. A bit-burst loop (Brent, "Fast multiple-precision evaluation of
-   elementary functions", JACM 1976) takes a rational chunk r off t: t
-   truncated to m decimals, m = 1, 2, 4, ..., or t itself once t is a
-   fraction whose denominator is at most 10**m.  Then
-   arctan(t) = arctan(r) + arctan((t - r)/(1 + r*t)) exactly in Q(sqrt(d)),
-   with no half-turn because r*t >= 0, and the new |t| is below 10**-m.
-3. Each arctan(p/q) is the series Sum (-1)^k (p/q)^(2k+1)/(2k+1) run as
-   one integer recurrence ``power = -power*p*p // (q*q)``,
-   ``total += power // (2k+1)``.  With (p/q)**2 <= 1/4 every power is
+   elementary functions", JACM 1976) takes a chunk a/b off t: t truncated
+   toward zero to m decimals, a = sign(p)*floor(|p|*10**m/q) and b = 10**m,
+   for m = 1, 2, 4, ..., or t itself once q <= 10**m.  Then
+   arctan(t) = arctan(a/b) + arctan((t - a/b)/(1 + a*t/b)) exactly, which
+   on the pair is (p, q) <- (p*b - a*q, q*b + a*p).  a has the sign of p,
+   so a*p >= 0: q stays positive, no half-turn enters, and the new |t| is
+   below 10**-m.  The pair grows by about m digits per step.
+3. Each arctan(a/b) is the series Sum (-1)^k (a/b)^(2k+1)/(2k+1) run as
+   one integer recurrence ``power = -power*a*a // (b*b)``,
+   ``total += power // (2k+1)``.  With (a/b)**2 <= 1/4 every power is
    within 4/3 of its true value, so the first term is off by less than 1,
    every later term by less than 2, and the tail after the first zero
    power by less than 1: the error is at most 2 units per term.
 4. Once 10**(3m) >= S, the remainder |t| < 10**-m has
    |arctan(t) - t| < |t|**3/3 < 1/S, so the exact floor and ceiling of
-   t*S, each moved out by one unit, enclose arctan(t)*S.
+   p*S/q, each moved out by one unit, enclose arctan(t)*S.
 
 pi itself comes from Euler's 5*arctan(1/7) + 2*arctan(3/79) = pi/4
 (``_PI_BOOTSTRAP``); the exact fold proves that identity before the first
@@ -37,7 +44,7 @@ from math import isqrt
 
 from .errors import InvalidArgumentError
 from .odot import NormalAngle, fold_terms
-from .values import Surd, Value, as_value, value_sign
+from .values import Surd, Value, as_value
 
 __all__ = ["FixedPointContext", "pi_interval"]
 
@@ -97,25 +104,31 @@ class FixedPointContext:
     def atan(self, x: Value) -> Interval:
         """An interval containing arctan(x)*S."""
         angle = NormalAngle(as_value(x), 0).canonical()
-        t, quarters = angle.t, 2 * angle.h
-        if value_sign(2 * abs(t) - 1) > 0:
-            s = value_sign(t)
-            t, quarters = (t - s) / (1 + s * t), quarters + s
-        lo = hi = 0
+        t, quarters, scale = angle.t, 2 * angle.h, self.scale
+        if isinstance(t, Surd):
+            # p/S <= t < (p + 1)/S moves arctan(t) by less than one unit
+            p, q, slack = _floor(t, scale), scale, 1
+        else:
+            p, q, slack = t.numerator, t.denominator, 0
+        if 2 * abs(p) > q:
+            s = 1 if p > 0 else -1
+            p, q, quarters = p - s * q, q + s * p, quarters + s
+        lo, hi = -slack, slack
         m = 1
-        while value_sign(t):
-            if isinstance(t, Fraction) and t.denominator <= 10**m:
-                r = t
+        while p:
+            b = 10**m
+            if q <= b:
+                a, b = p, q
             else:
-                r = Fraction(value_sign(t) * _floor(abs(t), 10**m), 10**m)
-            if r:
-                a, b = _atan_series(r.numerator, r.denominator, self.scale)
-                lo, hi = lo + a, hi + b
-                t = (t - r) / (1 + r * t)
-            if value_sign(t) and 10 ** (3 * m) >= self.scale:
-                # |t| < 10**-m, so |arctan(t) - t| < |t|**3/3 < 1/S
-                a, b = self.from_value(t)
-                lo, hi = lo + a - 1, hi + b + 1
+                a = p * b // q if p > 0 else -(-p * b // q)
+            if a:
+                u, v = _atan_series(a, b, scale)
+                lo, hi = lo + u, hi + v
+                # a*p >= 0 keeps q positive
+                p, q = p * b - a * q, q * b + a * p
+            if p and 3 * m >= self.wp:
+                # |p/q| < 10**-m, so |arctan(p/q) - p/q| < 10**(-3m)/3 < 1/S
+                lo, hi = lo + p * scale // q - 1, hi - (-p * scale // q) + 1
                 break
             m *= 2
         if quarters:

@@ -9,13 +9,17 @@ import pytest
 
 from arctanforge import (
     ArctanTerm,
+    DegenerateIdentityError,
     Identity,
+    InconsistentInputError,
     InvalidArgumentError,
     Surd,
     UnsupportedRhsError,
     golden_family,
     machin_pair,
     phi_power,
+    pi_digits,
+    quad_reduce,
     surd_normalize,
     value_sign,
     verify_exact,
@@ -24,6 +28,7 @@ from arctanforge import (
 from arctanforge.engine import atan_series_split
 from arctanforge.fixedpoint import FixedPointContext, pi_interval
 from arctanforge.odot import NormalAngle
+from arctanforge.values import _is_prime
 from arctanforge.verifier import _sci
 
 
@@ -158,6 +163,63 @@ def test_exact_and_numeric_agree_on_grid():
             assert verify_numeric(m, digits=20).holds
 
 
+def test_three_routes_agree_on_machin_pairs():
+    # the fold, the interval verdict and the digits agree on seeded
+    # machin_pair identities, and a right side moved by a quarter turn
+    # fails both verdict routes (the digit engine refuses it)
+    rng = random.Random(89)
+    for _ in range(16):
+        n = rng.randint(1, 30)
+        if rng.random() < 0.5:
+            x = Fraction(rng.randint(2, 20))
+        else:
+            x = Fraction(rng.choice((7, 11, 13, 17)), rng.choice((2, 3)))
+        digits = rng.randint(30, 300)
+        start = time.perf_counter()
+        m = machin_pair(n, x)
+        assert verify_exact(m).holds
+        v = verify_numeric(m, digits)
+        assert v.holds and not v.indeterminate, (n, x, digits, v.numeric_residual)
+        r = pi_digits(m, digits)
+        assert not r.unrounded
+        lo, hi = pi_interval(digits + 5)
+        assert lo // 10**5 <= int(r.digits.replace(".", "")) <= hi // 10**5, (n, x)
+        for shift in (Fraction(1, 4), Fraction(-1, 4)):
+            wrong = Identity(m.terms, m.rhs + shift)
+            assert not verify_exact(wrong).holds
+            v = verify_numeric(wrong, digits)
+            assert not v.holds and not v.indeterminate, (n, x, shift)
+            with pytest.raises((InconsistentInputError, DegenerateIdentityError)):
+                pi_digits(wrong, digits)
+        assert time.perf_counter() - start < 10.0, (n, x, digits)
+
+
+def test_falsified_surd_lines_are_refuted():
+    # the unit of slack a surd argument adds to its enclosure leaves true
+    # lines holding and lines off by a quarter turn refuted, never
+    # indeterminate
+    rng = random.Random(97)
+    lines = []
+    for kind in ("odd", "even", "lucas_minus", "lucas_plus"):
+        for _ in range(2):
+            lines.append(golden_family(kind, rng.randint(1, 300)))
+    for _ in range(6):
+        d = 2 * rng.randint(500, 4_999_998) + 1
+        while not _is_prime(d):
+            d += 2
+        m = rng.randint(1, 9)
+        lines.append(quad_reduce(2 * m, m * m - d, surd_normalize(m, 1, d)))
+    for ident in lines:
+        digits = rng.randint(100, 1000)
+        start = time.perf_counter()
+        v = verify_numeric(ident, digits)
+        assert v.holds and not v.indeterminate, (ident, digits)
+        for shift in (Fraction(1, 4), Fraction(-1, 4)):
+            v = verify_numeric(Identity(ident.terms, ident.rhs + shift), digits)
+            assert not v.holds and not v.indeterminate, (ident, digits, shift)
+        assert time.perf_counter() - start < 5.0, (ident, digits)
+
+
 def test_pi_interval_tightness():
     ctx = FixedPointContext(60)
     lo, hi = pi_interval(60)
@@ -192,6 +254,23 @@ def _split_window(x: Fraction, digits: int) -> tuple[int, int]:
         a, b = sorted((c * f, c * (f + 1)))
         lo, hi = lo + a - 1, hi + b + 1
     return lo, hi
+
+
+def _surd_window(x, wp: int, c=Fraction(0), g: int = 5) -> tuple[int, int]:
+    """Integers around arctan(x)*10**(wp + g) for a surd x with 1 + c*x > 0.
+
+    arctan(x) = arctan(c) + arctan(y) with y = (x - c)/(1 + c*x); y has
+    rational brackets y_lo <= y < y_hi, proved by exact signs, and arctan
+    is increasing, so the split windows of c and the brackets enclose it.
+    A c near x keeps the brackets' series short at large wp.
+    """
+    y = (x - c) / (1 + c * x)
+    k = wp + g + 10
+    n = FixedPointContext(k).from_value(y)[0]
+    y_lo, y_hi = Fraction(n, 10**k), Fraction(n + 1, 10**k)
+    assert value_sign(y - y_lo) >= 0 and value_sign(y_hi - y) > 0
+    lo, hi = _split_window(c, wp + g) if c else (0, 0)
+    return lo + _split_window(y_lo, wp + g)[0], hi + _split_window(y_hi, wp + g)[1]
 
 
 def _assert_encloses(x, wp: int, window: tuple[int, int], g: int) -> None:
@@ -235,12 +314,28 @@ def test_interval_atan_contains_surd_truth():
     # terms, so only the arguments that reduce to a small arctangent run at 500
     cases = [(x, wp) for x in huge + args for wp in rng.sample(WPS[:-1], 3)]
     for x, wp in cases + [(x, 500) for x in huge]:
-        k = wp + 15
-        n = FixedPointContext(k).from_value(x)[0]
-        x_lo, x_hi = Fraction(n, 10**k), Fraction(n + 1, 10**k)
-        assert value_sign(x - x_lo) >= 0 and value_sign(x_hi - x) > 0
-        window = (_split_window(x_lo, wp + 5)[0], _split_window(x_hi, wp + 5)[1])
-        _assert_encloses(x, wp, window, 5)
+        _assert_encloses(x, wp, _surd_window(x, wp), 5)
+
+
+def test_interval_atan_surd_floor_edges():
+    # atan floors a surd t to p/10**wp and adds a unit on each side; these
+    # surds sit within 10**-wp of the points where that floor changes the
+    # reduction: +-1/2 (the difference identity) and 0 (p = 0 or -1).  One
+    # lies within 10**-10 units of a floor step, so the windows are taken
+    # at 15 extra digits
+    for wp in WPS + [500]:
+        offsets = [
+            Surd(0, Fraction(1, 10 ** (wp + 1)), 2),
+            Surd(0, Fraction(1, 10 ** (wp + 20)), 3),
+            Surd(Fraction(1, 10**wp), -Fraction(1, 10 ** (wp + 10)), 5),
+        ]
+        for c in (Fraction(1, 2), Fraction(-1, 2), Fraction(0)):
+            for eps in offsets + [-e for e in offsets]:
+                x = c + eps
+                _assert_encloses(x, wp, _surd_window(x, wp, c, 15), 15)
+        for x in (phi_power(400), 1 / phi_power(400)):
+            for y in (x, -x):
+                _assert_encloses(y, wp, _surd_window(y, wp, g=15), 15)
 
 
 def test_interval_sqrt_and_surds():
