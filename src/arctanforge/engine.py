@@ -229,6 +229,8 @@ def _enclosure_text(
 
 def pi_digits(identity: Identity, digits: int) -> DigitResult:
     """pi to `digits` truncated decimals via (sum c_i*arctan(t_i)) / rhs."""
+    if isinstance(digits, bool) or not isinstance(digits, int):
+        raise InvalidArgumentError("digits must be an int")
     if digits < 1:
         raise InvalidArgumentError("digits must be positive")
     start = time.perf_counter()

@@ -21,12 +21,18 @@ q > 0, standing for t = p/q; no gcd is taken:
    on the pair is (p, q) <- (p*b - a*q, q*b + a*p).  a has the sign of p,
    so a*p >= 0: q stays positive, no half-turn enters, and the new |t| is
    below 10**-m.  The pair grows by about m digits per step.
-3. Each arctan(a/b) is the series Sum (-1)^k (a/b)^(2k+1)/(2k+1) run as
-   one integer recurrence ``power = -power*a*a // (b*b)``,
-   ``total += power // (2k+1)``.  With (a/b)**2 <= 1/4 every power is
-   within 4/3 of its true value, so the first term is off by less than 1,
-   every later term by less than 2, and the tail after the first zero
-   power by less than 1: the error is at most 2 units per term.
+3. Each arctan(a/b) is Euler's series
+   arctan(x) = x/(1 + x**2) * Sum (2k)!!/(2k+1)!! * (x**2/(1 + x**2))**k,
+   run over |a| as one integer recurrence with r = a*a + b*b:
+   ``power = |a|*b*S // r``, then ``power = power*2k*a*a // ((2k+1)*r)``,
+   ``total += power``, until the first zero power.  Every term has the sign
+   of a, and each step is one floor.  With (a/b)**2 <= 1/4 the ratio
+   y = a*a/r is at most 1/5, and a step multiplies by at most y, so a power
+   is low by less than 1 + 1/5 + 1/25 + ... = 5/4 of a unit and never high.
+   The tail after the zero power is below 5/4 * (y + y**2 + ...) <= 5/16,
+   so n computed powers sum to less than 5n/4 + 1/3 < 2n units below
+   arctan(a/b)*S: the enclosure is one-sided, (total, total + 2n), mirrored
+   for a < 0.
 4. Once 10**(3m) >= S, the remainder |t| < 10**-m has
    |arctan(t) - t| < |t|**3/3 < 1/S, so the exact floor and ceiling of
    p*S/q, each moved out by one unit, enclose arctan(t)*S.
@@ -76,22 +82,32 @@ def _times(u: Interval, q: Fraction | int) -> Interval:
 
 
 def _atan_series(p: int, q: int, scale: int) -> Interval:
-    """An interval containing arctan(p/q)*scale, for (p/q)**2 <= 1/4 and q > 0."""
-    power = p * scale // q
-    total, err, k = power, 2, 1
-    pp, qq = p * p, q * q
+    """An interval containing arctan(p/q)*scale, for 0 < (p/q)**2 <= 1/4, q > 0.
+
+    Euler's series over |p|: the first power is |p|*q*scale // r with
+    r = p*p + q*q, and each later one is the previous times 2k*p*p over
+    (2k+1)*r, one floor, until a power is zero.  Every power is low by less
+    than 5/4 of a unit, so n powers sum to less than 2n units below the value.
+    """
+    pp, r = p * p, p * p + q * q
+    da, db = 2 * pp, 2 * r
+    power = abs(p) * q * scale // r
+    total, a, b = power, da, db + r
     while power:
-        power = -power * pp // qq
-        total += power // (2 * k + 1)
-        err += 2
-        k += 1
-    return total - err, total + err
+        power = power * a // b
+        total += power
+        a += da
+        b += db
+    width = a // pp  # a = 2n*p*p after n powers
+    return (total, total + width) if p > 0 else (-total - width, -total)
 
 
 class FixedPointContext:
     """Integer enclosures at a fixed working precision of wp digits."""
 
     def __init__(self, wp: int):
+        if isinstance(wp, bool) or not isinstance(wp, int):
+            raise InvalidArgumentError("working precision must be an int")
         if wp < 1:
             raise InvalidArgumentError("working precision must be positive")
         self.wp = wp
@@ -143,7 +159,8 @@ def _prove_pi_bootstrap() -> None:
         raise RuntimeError("the pi bootstrap identity failed its exact check")
 
 
-@functools.lru_cache(maxsize=8)
+# typed: 12.0 and True hash like 12 and 1, and must not hit their entries
+@functools.lru_cache(maxsize=8, typed=True)
 def pi_interval(wp: int) -> Interval:
     _prove_pi_bootstrap()
     ctx = FixedPointContext(wp)

@@ -69,6 +69,8 @@ def verify_numeric(identity: Identity, digits: int) -> Verdict:
     too wide to tell) comes back holds=False, indeterminate=True, and the
     caller may retry with more digits.  g is DEFAULT_GUARD (5 digits).
     """
+    if isinstance(digits, bool) or not isinstance(digits, int):
+        raise InvalidArgumentError("digits must be an int")
     if digits < 10:
         raise InvalidArgumentError("digits must be at least 10")
     g = DEFAULT_GUARD

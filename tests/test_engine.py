@@ -179,6 +179,9 @@ def test_pi_digits_degenerate_identities():
             pi_digits(diff_identity(f), 20)
     with pytest.raises(InvalidArgumentError):
         pi_digits(EULER, 0)
+    for digits in (2.5, 20.0, True):
+        with pytest.raises(InvalidArgumentError):
+            pi_digits(EULER, digits)
 
 
 def test_pi_digits_proved_through_feynman_point():

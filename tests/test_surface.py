@@ -1,6 +1,7 @@
-"""The package's public surface: the names the README documents, and the
-attributes the benchmark's tracer wraps."""
+"""The package's public surface: the names the README documents, the
+attributes the benchmark's tracer wraps, and the routes kept apart."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -28,3 +29,17 @@ def test_bench_patches_resolve():
         for part in attribute.split("."):
             assert hasattr(owner, part), (module_name, attribute)
             owner = getattr(owner, part)
+
+
+def test_interval_route_does_not_use_the_digit_engine():
+    # the interval route cross-checks the digit engine, so it must not share
+    # its series
+    path = ROOT / "src" / "arctanforge" / "fixedpoint.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    assert "engine" not in imported

@@ -26,7 +26,7 @@ from arctanforge import (
     verify_numeric,
 )
 from arctanforge.engine import atan_series_split
-from arctanforge.fixedpoint import FixedPointContext, pi_interval
+from arctanforge.fixedpoint import FixedPointContext, _atan_series, pi_interval
 from arctanforge.odot import NormalAngle
 from arctanforge.values import _is_prime
 from arctanforge.verifier import _sci
@@ -136,6 +136,21 @@ def test_numeric_digit_floor():
     assert verify_numeric(NEWTON, digits=10).holds
 
 
+def test_precision_must_be_an_int():
+    # a float scale would put floats on the proof path; a cached int
+    # precision must not answer for an equal float or bool
+    pi_interval(12)
+    pi_interval(1)
+    for wp in (12.5, 12.0, True, "12"):
+        with pytest.raises(InvalidArgumentError):
+            FixedPointContext(wp)
+        with pytest.raises(InvalidArgumentError):
+            pi_interval(wp)
+    for digits in (10.5, 20.0, True, Fraction(20)):
+        with pytest.raises(InvalidArgumentError):
+            verify_numeric(NEWTON, digits)
+
+
 def test_numeric_indeterminate_band():
     # residual of 1e-8 at 30 digits: too big to hold, too small to condemn
     tiny = ident([(1, Fraction(1, 10**8))], Fraction(0))
@@ -225,11 +240,52 @@ def test_pi_interval_tightness():
     lo, hi = pi_interval(60)
     assert 0 < hi - lo <= 10**4  # within four ulp-digits of the working precision
     mid = Fraction(lo + hi, 2 * ctx.scale)
+    # pi truncated to 60 decimals: known*S <= pi*S < known*S + 1, so every
+    # integer enclosure of pi*S has lo <= known*S < hi
     known = Fraction(
-        314159265358979323846264338327950288419716939937510582097494, 10**59
+        3141592653589793238462643383279502884197169399375105820974944, 10**60
     )
     assert abs(mid - known) < Fraction(1, 10**55)
-    assert lo <= known * ctx.scale <= hi
+    assert lo <= known * ctx.scale < hi
+
+
+def _euler_powers(p: int, q: int, scale: int) -> int:
+    """How many powers of Euler's series for arctan(|p|/q)*scale are taken.
+
+    The first is floor(|p|*q*scale/r), r = p**2 + q**2, and the k-th is
+    floor(previous * 2k*p**2/((2k+1)*r)), up to and including the first zero.
+    """
+    r = p * p + q * q
+    power, n = abs(p) * q * scale // r, 1
+    while power:
+        power = power * 2 * n * p * p // ((2 * n + 1) * r)
+        n += 1
+    return n
+
+
+def test_atan_series_against_split_oracle():
+    rng = random.Random(97)
+    pairs = [(1, 2), (-1, 2), (2, 4), (-3, 6), (1, 10**30), (-1, 10**30)]
+    pairs += [(1, 5), (1, 7), (3, 79), (1, 239), (-10**40, 2 * 10**40 + 1)]
+    while len(pairs) < 300:
+        if rng.random() < 0.4:
+            # a bit-burst chunk a/10**m
+            q = 10 ** rng.randint(1, 32)
+        else:
+            q = rng.randint(2, 10 ** rng.randint(1, 40))
+        p = rng.randint(1, q // 2 if rng.random() < 0.7 else min(9, q // 2))
+        pairs.append((rng.choice((1, -1)) * p, q))
+    for wp in (10, 50, 300, 1000):
+        scale = 10**wp
+        for p, q in pairs:
+            lo, hi = _atan_series(p, q, scale)
+            # the split's floor f has |f - arctan(p/q)*10**(wp + 40)| < 2
+            f = atan_series_split(p, q, wp + 40)
+            assert lo * 10**40 <= f - 2 and f + 2 <= hi * 10**40, (p, q, wp)
+            # one-sided: the floored sum is the end nearer zero
+            assert (0 <= lo if p > 0 else hi <= 0), (p, q, wp)
+            assert _atan_series(-p, q, scale) == (-hi, -lo)
+            assert hi - lo == 2 * _euler_powers(p, q, scale), (p, q, wp)
 
 
 def _split_window(x: Fraction, digits: int) -> tuple[int, int]:
