@@ -235,7 +235,7 @@ def _cmd_verify(args) -> Result:
                 "identity": ident,
                 "holds": v.holds,
                 "indeterminate": v.indeterminate,
-                "actual": str(v.actual),
+                "actual": None if v.actual is None else str(v.actual),
                 "residual": v.numeric_residual,
             }
         )

@@ -22,21 +22,29 @@ and all Decimal work runs in EXACT: unbounded precision and exponent with
 Inexact, Rounded and InvalidOperation trapped, so any rounding raises
 instead of passing silently.
 
-Error budget.  Each series value is taken once, at the widest guard.  On
+Error budget.  Each series value is taken once, at S = D + GUARD.  On
 ints it is floor(T * 10^S / Q), within 1 unit of the partial sum.  On
 Decimal, T and Q are first floored to the top S + 3 digits of Q:
 T' = floor(T/10^k) and Q' = floor(Q/10^k) >= 10^(S+2).  As |T/Q| < 1,
 |T'/Q' - T/Q| < 2/Q', so the quotient moves by less than 2*10^-2 units,
 and the integer division, which truncates toward zero, adds less than 1
-unit on either side.  A narrower guard floors away at least 60 of the
-value's digits, which leaves it within 1 + 10^-59 units of the partial
-sum.  Either way each value is within 2 units of arctan(p/q) * 10^S, and
-the enclosure counts 3 units per unit of coefficient: the 2 of an exact
-floor plus a full unit for the truncated division.  Summing c_i times
-these values at S = D + guard and dividing by rhs' gives an integer
-enclosure lo < pi*10^S < hi + 1.  The D truncated decimals are proved
-when lo and hi + 1 agree on them; otherwise the next, wider guard of
-GUARDS is tried, and after the last the run is flagged ``unrounded``.
+unit on either side.  Either way each value is within 2 units of
+arctan(p/q) * 10^S, and the enclosure counts 3 units per unit of
+coefficient: the 2 of an exact floor plus a full unit for the truncated
+division.  Summing c_i times these values and dividing by rhs' gives an
+integer enclosure lo < pi*10^S < hi + 1.  The D truncated decimals are
+proved when lo and hi + 1 agree on them; otherwise the run is flagged
+``unrounded``.
+
+One guard proves whatever a narrower one would.  At a guard g <= 30, the
+values floored from these by 90 - g digits are within 1 + eps units of
+arctan(p/q) * 10^(D+g), eps = 2*10^-60, so with C = Sum |c_i| the real
+error is under (1 + eps)*C units against a spread of 3*C.  When g proves
+the digits, pi*10^D therefore lies at least (2 - eps)*C/|rhs'| units of
+10^-(D+g) from every digit boundary.  The enclosure at GUARD = 90 reaches
+less than 5*C/|rhs'| + 1 units of 10^-(D+90) from pi*10^D.  As
+|rhs'| <= C/4, that is under 10^-59 * C/|rhs'| units of 10^-(D+g), so the
+enclosure stays inside the same digit and proves those digits too.
 """
 
 from __future__ import annotations
@@ -64,9 +72,9 @@ from .errors import (
     DegenerateArgumentError,
     DegenerateIdentityError,
     InconsistentInputError,
-    InvalidArgumentError,
     RationalOnlyError,
     ReductionRequiredError,
+    check_int,
 )
 from .generator import Identity
 from .odot import NormalAngle
@@ -81,8 +89,8 @@ __all__ = [
 
 # tail margin of one series: its partial sum is within 10**-(digits + 10)
 SPLIT_GUARD = 10
-# decimals past the D asked for at which a digit run tries its enclosure
-GUARDS = (SPLIT_GUARD, 3 * SPLIT_GUARD, 9 * SPLIT_GUARD)
+# decimals past the D asked for at which a digit run takes its enclosure
+GUARD = 90
 # estimated root operand digits, summed over a run's series, above which
 # the trees run on Decimal: measured on Python 3.11 (2-vCPU Xeon), Decimal
 # runs took 1.1-1.4x the int time below 45k, about the same near 100k and
@@ -202,23 +210,21 @@ def _drop_digits(x, k: int):
     return x.scaleb(-k).to_integral_value(ROUND_FLOOR)
 
 
-def _enclosure_text(
-    values, rprime: Fraction, digits: int, guard: int
-) -> tuple[str, bool]:
+def _enclosure_text(values, rprime: Fraction, digits: int) -> tuple[str, bool]:
     """Truncated decimals of pi and whether its integer enclosure proves them.
 
     `values` pairs each coefficient with its series value at scale
-    10**(digits + GUARDS[-1]); the enclosure works at 10**(digits + guard).
+    10**(digits + GUARD).
     """
-    acc = sum(c * _drop_digits(f, GUARDS[-1] - guard) for c, f in values)
-    # |acc - rprime*pi*10**S| < spread at S = digits + guard, so
+    acc = sum(c * f for c, f in values)
+    # |acc - rprime*pi*10**S| < spread at S = digits + GUARD, so
     # lo < pi*10**S < hi + 1; the sign goes to the numerator, so on either
     # type both divisions are floors of positive numbers
     spread = 3 * sum(abs(c) for c, _ in values)
     sign = 1 if rprime > 0 else -1
     den, rnum = rprime.denominator, abs(rprime.numerator)
     lo, hi = ((sign * acc + e) * den // rnum for e in (-spread, spread))
-    truncated, top = _drop_digits(lo, guard), _drop_digits(hi + 1, guard)
+    truncated, top = _drop_digits(lo, GUARD), _drop_digits(hi + 1, GUARD)
     text = _int_text(truncated) if isinstance(truncated, int) else str(truncated)
     if len(text) != digits + 1 or text[0] != "3":
         raise InconsistentInputError(
@@ -229,10 +235,7 @@ def _enclosure_text(
 
 def pi_digits(identity: Identity, digits: int) -> DigitResult:
     """pi to `digits` truncated decimals via (sum c_i*arctan(t_i)) / rhs."""
-    if isinstance(digits, bool) or not isinstance(digits, int):
-        raise InvalidArgumentError("digits must be an int")
-    if digits < 1:
-        raise InvalidArgumentError("digits must be positive")
+    check_int(digits, "digits", 1)
     start = time.perf_counter()
     for term in identity.terms:
         if isinstance(term.arg, Surd):
@@ -257,10 +260,8 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
         raise DegenerateIdentityError(
             "pi cancels out after half-turn elimination"
         )
-    # one number type for the whole run, so no big int meets a Decimal;
-    # each series is split once at the widest guard, and a narrower guard
-    # only drops digits from its value
-    scale = digits + GUARDS[-1]
+    # one number type for the whole run, so no big int meets a Decimal
+    scale = digits + GUARD
     size = sum(_tree_digits(t, scale) for _, t in work)
     num = Decimal if size > DECIMAL_DIGITS else int
     with localcontext(EXACT):
@@ -268,10 +269,7 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
             (c, atan_series_split(num(t.numerator), num(t.denominator), scale))
             for c, t in work
         ]
-        for guard in GUARDS:
-            text, unrounded = _enclosure_text(values, rprime, digits, guard)
-            if not unrounded:
-                break
+        text, unrounded = _enclosure_text(values, rprime, digits)
     return DigitResult(
         digits=text,
         source=identity,

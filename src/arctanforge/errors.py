@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and their integer-argument check."""
 
 
 class ArctanForgeError(Exception):
@@ -7,6 +7,18 @@ class ArctanForgeError(Exception):
 
 class InvalidArgumentError(ArctanForgeError, ValueError):
     """An argument is outside its documented domain (e.g. digits < 1)."""
+
+
+def check_int(value, name: str, least: int | None = None) -> None:
+    """Raise InvalidArgumentError unless value is an int (not a bool) >= least.
+
+    The message names the argument and its bound, never the value: an int
+    past the interpreter's int-str limit cannot be formatted.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgumentError(f"{name} must be an int")
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{name} must be at least {least}")
 
 
 class InvalidRadicandError(ArctanForgeError):

@@ -48,7 +48,7 @@ import functools
 from fractions import Fraction
 from math import isqrt
 
-from .errors import InvalidArgumentError
+from .errors import check_int
 from .odot import NormalAngle, fold_terms
 from .values import Surd, Value, as_value
 
@@ -106,16 +106,9 @@ class FixedPointContext:
     """Integer enclosures at a fixed working precision of wp digits."""
 
     def __init__(self, wp: int):
-        if isinstance(wp, bool) or not isinstance(wp, int):
-            raise InvalidArgumentError("working precision must be an int")
-        if wp < 1:
-            raise InvalidArgumentError("working precision must be positive")
+        check_int(wp, "wp", 1)
         self.wp = wp
         self.scale = 10**wp
-
-    def from_value(self, v: Value) -> Interval:
-        """(floor, ceil) of v*S."""
-        return _floor(v, self.scale), -_floor(-v, self.scale)
 
     def atan(self, x: Value) -> Interval:
         """An interval containing arctan(x)*S."""

@@ -29,10 +29,11 @@ from .errors import (
     InvalidArgumentError,
     RightAngleError,
     UnsupportedRadicalError,
+    check_int,
 )
 from .odot import NormalAngle, fold_terms
 from .sequences import lucas, min_poly_phi_power, phi_power, uv_pair
-from .values import Surd, Value, as_value, value_sign, value_sqrt
+from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
 
 __all__ = [
     "ArctanTerm",
@@ -97,9 +98,8 @@ def _reject_unit(x: Value, who: str) -> None:
 
 def machin_pair(n: int, x) -> Identity:
     """n*A(1/x) + A((u_n - v_n)/(u_n + v_n)) with fold-computed rhs."""
+    check_int(n, "n", 1)
     x = as_value(x)
-    if n < 1:
-        raise InvalidArgumentError("n must be a positive integer")
     _reject_unit(x, "x")
     if value_sign(x) == 0:
         raise DegenerateArgumentError("x = 0 has no reciprocal argument")
@@ -131,12 +131,13 @@ def quad_reduce(h: int, kq: int, alpha: Surd) -> Identity:
     (h + 2)t - (1 + kq) and (h - 2)t - (1 + kq); the quotient collapses in
     the field and often lands in the rationals.
     """
+    check_int(h, "h")
+    check_int(kq, "kq")
     if not isinstance(alpha, Surd):
         raise InconsistentInputError("alpha must be a quadratic irrational")
     if value_sign(alpha * alpha - h * alpha + kq) != 0:
-        raise InconsistentInputError(
-            f"{alpha} is not a root of t^2 - {h}*t + {kq}"
-        )
+        poly = f"t^2 - {format_value(h)}*t + {format_value(kq)}"
+        raise InconsistentInputError(f"{alpha} is not a root of {poly}")
     num = (h + 2) * alpha - (1 + kq)  # x^2 + 2x - 1 reduced
     den = (h - 2) * alpha - (1 + kq)  # x^2 - 2x - 1 reduced
     if value_sign(num) == 0:
@@ -154,14 +155,11 @@ def golden_family(kind: str, k: int) -> Identity:
     lucas_plus:  A(L/2) + 2*A(1/phi^(2k+1)) = pi/2
     only_lucas:  A(L/2) - A((L-2)/(L+2)) = pi/4
     """
-    if k < 0:
-        raise InvalidArgumentError("k must be nonnegative")
+    check_int(k, "k", 1 if kind == "even" else 0)
     if kind == "odd":
         m = 2 * k + 1
         return quad_reduce(*min_poly_phi_power(m), phi_power(m))
     if kind == "even":
-        if k < 1:
-            raise InvalidArgumentError("the even family starts at k = 1")
         m = 2 * k
         return quad_reduce(*min_poly_phi_power(m), phi_power(m))
     if kind == "lucas_minus":

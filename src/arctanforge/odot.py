@@ -33,10 +33,10 @@ from typing import Iterable
 
 from .errors import (
     DegenerateArgumentError,
-    InvalidArgumentError,
     RightAngleError,
     UnsupportedRadicalError,
     UnsupportedRhsError,
+    check_int,
 )
 from .sequences import uv_coefficients
 from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
@@ -87,8 +87,7 @@ def _tangent(angle: NormalAngle) -> Value:
 
 
 def _check_pow_args(x: Value, n: int) -> None:
-    if n < 1:
-        raise InvalidArgumentError("n must be a positive integer")
+    check_int(n, "n", 1)
     if isinstance(x, Fraction) and abs(x) == 1:
         raise DegenerateArgumentError("x = +-1 is excluded")
 

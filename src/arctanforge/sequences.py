@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgumentError
+from .errors import check_int
 from .values import Value, as_value, surd_normalize
 
 __all__ = [
@@ -43,8 +43,7 @@ def uv_pair(n: int, x) -> UVPair:
     Left-to-right binary powering: square, then multiply by x + i on each
     set bit of n, so O(log n) complex multiplications.
     """
-    if n < 0:
-        raise InvalidArgumentError("n must be nonnegative")
+    check_int(n, "n", 0)
     x = as_value(x)
     u, v = Fraction(1), Fraction(0)
     for bit in bin(n)[2:]:
@@ -57,8 +56,7 @@ def uv_pair(n: int, x) -> UVPair:
 def uv_coefficients(n: int) -> tuple[list[int], list[int]]:
     """Integer coefficient lists of u_n and v_n, index = power of x: in
     (x + i)^n, x^j carries C(n, j) * i^(n-j), real for even n - j."""
-    if n < 0:
-        raise InvalidArgumentError("n must be nonnegative")
+    check_int(n, "n", 0)
     u, v = [0] * (n + 1), [0] * (n + 1)
     for j in range(n + 1):
         m = n - j
@@ -68,8 +66,7 @@ def uv_coefficients(n: int) -> tuple[list[int], list[int]]:
 
 def _lucas_fibonacci(m: int) -> tuple[int, int]:
     # (L_m, F_m) from phi^(j+1) = phi^j * phi with phi^j = (L_j + F_j*sqrt(5))/2
-    if m < 0:
-        raise InvalidArgumentError("m must be nonnegative")
+    check_int(m, "m", 0)
     L, F = 2, 0
     for _ in range(m):
         L, F = (L + 5 * F) // 2, (L + F) // 2
@@ -97,6 +94,5 @@ def phi_power(m: int) -> Value:
 
 def min_poly_phi_power(m: int) -> tuple[int, int]:
     """Coefficients (h, k) of the minimal polynomial t^2 - h*t + k of phi^m."""
-    if m < 1:
-        raise InvalidArgumentError("m must be >= 1")
+    check_int(m, "m", 1)
     return lucas(m), (-1) ** m

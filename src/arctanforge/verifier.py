@@ -9,9 +9,11 @@ catch bugs in the exact path and to handle right sides off the quarter-pi
 lattice, and it reports ``indeterminate`` instead of guessing when the
 residual falls in the gray zone between clearly-zero and clearly-nonzero.
 
-The numeric path needs pi, which ``pi_interval`` builds from an identity
-that the exact fold proves first, so the two routes stay independent: no
-numeric result feeds the exact path.
+The numeric path is the interval route alone: it never folds the identity
+it checks, so its verdict carries no folded angle (``actual`` is None).
+It needs pi, which ``pi_interval`` builds from an identity that the exact
+fold proves first, so the two routes stay independent: no numeric result
+feeds the exact path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgumentError
+from .errors import check_int
 from .fixedpoint import FixedPointContext, _times, pi_interval
 from .generator import Identity
 from .odot import NormalAngle
@@ -33,7 +35,7 @@ DEFAULT_GUARD = 5
 @dataclass(frozen=True)
 class Verdict:
     holds: bool
-    actual: NormalAngle
+    actual: NormalAngle | None
     claimed_rhs: Fraction
     numeric_residual: str | None = None
     indeterminate: bool = False
@@ -69,10 +71,7 @@ def verify_numeric(identity: Identity, digits: int) -> Verdict:
     too wide to tell) comes back holds=False, indeterminate=True, and the
     caller may retry with more digits.  g is DEFAULT_GUARD (5 digits).
     """
-    if isinstance(digits, bool) or not isinstance(digits, int):
-        raise InvalidArgumentError("digits must be an int")
-    if digits < 10:
-        raise InvalidArgumentError("digits must be at least 10")
+    check_int(digits, "digits", 10)
     g = DEFAULT_GUARD
     wp = digits + g + 15
     ctx = FixedPointContext(wp)
@@ -95,4 +94,4 @@ def verify_numeric(identity: Identity, digits: int) -> Verdict:
     mid = (lo + hi) // 2
     rad = (hi - lo + 1) // 2
     report = f"{_sci(mid, wp)} +/- {_sci(rad, wp)}"
-    return Verdict(holds, identity.fold(), identity.rhs, report, indeterminate)
+    return Verdict(holds, None, identity.rhs, report, indeterminate)

@@ -223,6 +223,10 @@ def test_verify_json_payload(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["holds"] is False
     assert "arctan(3)" in rows[0]["actual"]
+    # the numeric route folds nothing, so it names no angle
+    assert run(["verify", "--numeric", "--json", "--file", str(f)]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["holds"] is False and rows[0]["actual"] is None
 
 
 def test_verify_mode_flags_conflict(tmp_path):

@@ -224,29 +224,30 @@ def leaf_type(request, monkeypatch):
 
 def test_feynman_point_one_tree_per_term(leaf_type, monkeypatch):
     # the 1000-fold terms need a wide guard at the Feynman point; each
-    # arctangent is still split once, at that guard, on the forced type
-    calls, guards = [], []
+    # arctangent is split once, at that guard, on the forced type, and the
+    # run takes one enclosure
+    calls, enclosures = [], []
     enclose = engine._enclosure_text
 
     def counted(p, q, digits):
         calls.append((type(p), digits))
         return atan_series_split(p, q, digits)
 
-    def attempt(values, rprime, digits, guard):
-        guards.append(guard)
-        return enclose(values, rprime, digits, guard)
+    def attempt(values, rprime, digits):
+        enclosures.append(digits)
+        return enclose(values, rprime, digits)
 
     monkeypatch.setattr(engine, "atan_series_split", counted)
     monkeypatch.setattr(engine, "_enclosure_text", attempt)
     euler = pi_digits(EULER, 761).digits
     calls.clear()
-    guards.clear()
+    enclosures.clear()
     wide = euler_plus_zero(1000, QUARTER_PAIRS[1], QUARTER_PAIRS[0])
     r = pi_digits(wide, 761)
     assert r.digits == euler and not r.unrounded
-    assert guards == list(engine.GUARDS[:2])
+    assert enclosures == [761]
     kind = int if leaf_type == "int" else Decimal
-    assert calls == [(kind, 761 + engine.GUARDS[-1])] * len(wide.terms)
+    assert calls == [(kind, 761 + 90)] * len(wide.terms)
 
 
 def test_never_proves_a_wrong_digit_on_both_leaf_types(leaf_type):

@@ -151,6 +151,9 @@ def test_quad_reduce_validates_root():
         quad_reduce(3, -1, Surd(0, 1, 2))
     with pytest.raises(InconsistentInputError):
         quad_reduce(0, -2, Fraction(1, 2))
+    # the message prints h and kq past the interpreter's int-str limit
+    with pytest.raises(InconsistentInputError):
+        quad_reduce(10**5000, -(10**5000), Surd(0, 1, 2))
 
 
 def test_golden_odd_matches_closed_form():

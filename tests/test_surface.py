@@ -1,13 +1,38 @@
 """The package's public surface: the names the README documents, the
-attributes the benchmark's tracer wraps, and the routes kept apart."""
+attributes the benchmark's tracer wraps, the routes kept apart, and the
+integer check at every entry point."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import arctanforge
+from arctanforge import (
+    InvalidArgumentError,
+    fibonacci,
+    golden_family,
+    lucas,
+    machin_pair,
+    min_poly_phi_power,
+    odot_pow,
+    odot_pow_reciprocal,
+    parse_identity,
+    phi_power,
+    pi_digits,
+    quad_reduce,
+    root_poly,
+    uv_pair,
+    verify_numeric,
+    winding_correction,
+)
+from arctanforge.fixedpoint import FixedPointContext
+from arctanforge.sequences import uv_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +68,52 @@ def test_interval_route_does_not_use_the_digit_engine():
         elif isinstance(node, ast.Import):
             imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
     assert "engine" not in imported
+
+
+PHI = phi_power(1)
+EULER = parse_identity("5*atan(1/7) + 2*atan(3/79) = 1/4*pi")
+
+# (function, integer parameter, a valid value, least value or None, call):
+# every entry point that takes an integer checks it with one helper
+INT_ARGS = [
+    (pi_digits, "digits", 1, 1, lambda v: pi_digits(EULER, v)),
+    (verify_numeric, "digits", 10, 10, lambda v: verify_numeric(EULER, v)),
+    (FixedPointContext, "wp", 1, 1, FixedPointContext),
+    (machin_pair, "n", 1, 1, lambda v: machin_pair(v, Fraction(5))),
+    (winding_correction, "n", 1, 1, lambda v: winding_correction(v, Fraction(5))),
+    (golden_family, "k", 0, 0, lambda v: golden_family("odd", v)),
+    (golden_family, "k", 1, 1, lambda v: golden_family("even", v)),
+    (quad_reduce, "h", 1, None, lambda v: quad_reduce(v, -1, PHI)),
+    (quad_reduce, "kq", -1, None, lambda v: quad_reduce(1, v, PHI)),
+    (odot_pow, "n", 1, 1, lambda v: odot_pow(Fraction(1, 2), v)),
+    (odot_pow_reciprocal, "n", 1, 1, lambda v: odot_pow_reciprocal(Fraction(2), v)),
+    (root_poly, "n", 1, 1, lambda v: root_poly(v, Fraction(2))),
+    (uv_pair, "n", 0, 0, lambda v: uv_pair(v, Fraction(3))),
+    (uv_coefficients, "n", 0, 0, uv_coefficients),
+    (lucas, "m", 0, 0, lucas),
+    (fibonacci, "m", 0, 0, fibonacci),
+    (phi_power, "m", 0, 0, phi_power),
+    (min_poly_phi_power, "m", 1, 1, min_poly_phi_power),
+]
+
+
+def test_integer_arguments_are_checked():
+    for fn, param, good, least, call in INT_ARGS:
+        call(good)
+        bad = [2.5, 3.0, True, "3", None]
+        if least is not None:
+            bad += [least - 1, -(10**5000)]
+        for value in bad:
+            with pytest.raises(InvalidArgumentError):
+                call(value)
+
+
+def test_integer_entry_points_are_in_the_table():
+    # a new public function with an integer parameter must join INT_ARGS
+    names = {"n", "k", "m", "h", "kq", "digits"}
+    covered = {(fn, param) for fn, param, *_ in INT_ARGS}
+    for name in arctanforge.__all__:
+        fn = getattr(arctanforge, name)
+        if inspect.isfunction(fn):
+            for param in names & set(inspect.signature(fn).parameters):
+                assert (fn, param) in covered, (name, param)

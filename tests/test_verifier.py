@@ -17,6 +17,7 @@ from arctanforge import (
     UnsupportedRhsError,
     golden_family,
     machin_pair,
+    parse_identity,
     phi_power,
     pi_digits,
     quad_reduce,
@@ -26,7 +27,7 @@ from arctanforge import (
     verify_numeric,
 )
 from arctanforge.engine import atan_series_split
-from arctanforge.fixedpoint import FixedPointContext, _atan_series, pi_interval
+from arctanforge.fixedpoint import FixedPointContext, _atan_series, _floor, pi_interval
 from arctanforge.odot import NormalAngle
 from arctanforge.values import _is_prime
 from arctanforge.verifier import _sci
@@ -101,6 +102,24 @@ def test_numeric_classics():
 
 def test_numeric_wrong_identity():
     v = verify_numeric(WRONG, digits=50)
+    assert not v.holds and not v.indeterminate
+
+
+def test_numeric_route_runs_no_fold(monkeypatch):
+    # the cross-check must not lean on the route it checks, and a fold the
+    # size of a 10^13 coefficient would never finish
+    def no_fold(self):
+        raise AssertionError("verify_numeric folded the identity")
+
+    monkeypatch.setattr(Identity, "fold", no_fold)
+    v = verify_numeric(MACHIN, digits=50)
+    assert v.holds and not v.indeterminate and v.actual is None
+    v = verify_numeric(WRONG, digits=50)
+    assert not v.holds and not v.indeterminate and v.actual is None
+    huge = parse_identity("47398913829403*atan(1/5) - atan(1/239) = 10/4*pi")
+    start = time.perf_counter()
+    v = verify_numeric(huge, digits=50)
+    assert time.perf_counter() - start < 1.0
     assert not v.holds and not v.indeterminate
 
 
@@ -322,7 +341,7 @@ def _surd_window(x, wp: int, c=Fraction(0), g: int = 5) -> tuple[int, int]:
     """
     y = (x - c) / (1 + c * x)
     k = wp + g + 10
-    n = FixedPointContext(k).from_value(y)[0]
+    n = _floor(y, 10**k)
     y_lo, y_hi = Fraction(n, 10**k), Fraction(n + 1, 10**k)
     assert value_sign(y - y_lo) >= 0 and value_sign(y_hi - y) > 0
     lo, hi = _split_window(c, wp + g) if c else (0, 0)
@@ -396,7 +415,7 @@ def test_interval_atan_surd_floor_edges():
 
 def test_interval_sqrt_and_surds():
     ctx = FixedPointContext(50)
-    lo, hi = ctx.from_value(Surd(1, 2, 2))
+    lo, hi = _floor(Surd(1, 2, 2), ctx.scale), -_floor(-Surd(1, 2, 2), ctx.scale)
     truth = Fraction(1) + 2 * Fraction(math.sqrt(2))
     slack = Fraction(1, 10**12)
     assert Fraction(lo, ctx.scale) <= truth + slack
@@ -404,7 +423,7 @@ def test_interval_sqrt_and_surds():
     assert hi - lo <= 4
     # 1/phi^200 = a + b*sqrt(5) with |a|, |b| near 10^41: a near cancellation
     tiny = 1 / phi_power(200)
-    lo, hi = ctx.from_value(tiny)
+    lo, hi = _floor(tiny, ctx.scale), -_floor(-tiny, ctx.scale)
     assert value_sign(tiny - Fraction(lo, ctx.scale)) > 0
     assert value_sign(Fraction(hi, ctx.scale) - tiny) > 0
     assert hi - lo <= 4
