@@ -7,8 +7,8 @@ surds a + b*sqrt(d).  Identities of the form
 
 are produced by several generator families, proved or refuted by an exact
 angle fold with winding counts, cross-checked by rigorous interval
-arithmetic, and (for rational arguments) turned into pi digit runs by
-binary splitting.
+arithmetic, and turned into pi digit runs by binary splitting, for surd
+arguments as for rational ones.
 """
 
 from .engine import (
@@ -26,7 +26,6 @@ from .errors import (
     InvalidArgumentError,
     InvalidRadicandError,
     RationalOnlyError,
-    ReductionRequiredError,
     RightAngleError,
     UnsupportedRadicalError,
     UnsupportedRhsError,
@@ -95,7 +94,6 @@ __all__ = [
     "NormalAngle",
     "OdotPolynomial",
     "RationalOnlyError",
-    "ReductionRequiredError",
     "RightAngleError",
     "Surd",
     "UnsupportedRadicalError",

@@ -50,15 +50,11 @@ class UnsupportedRhsError(ArctanForgeError):
 
 
 class RationalOnlyError(ArctanForgeError):
-    """The digit engine accepts rational arctangent arguments only."""
+    """The Lehmer measure accepts rational arctangent arguments only."""
 
 
 class DegenerateIdentityError(ArctanForgeError):
     """The identity pins no multiple of pi (rhs vanishes after reduction)."""
-
-
-class ReductionRequiredError(ArctanForgeError):
-    """Series evaluation requires |p/q| < 1; reduce the argument first."""
 
 
 class IdentitySyntaxError(ArctanForgeError):

@@ -16,11 +16,16 @@ q > 0, standing for t = p/q; no gcd is taken:
 2. A bit-burst loop (Brent, "Fast multiple-precision evaluation of
    elementary functions", JACM 1976) takes a chunk a/b off t: t truncated
    toward zero to m decimals, a = sign(p)*floor(|p|*10**m/q) and b = 10**m,
-   for m = 1, 2, 4, ..., or t itself once q <= 10**m.  Then
+   for m = 1, 2, 4, ..., or t itself once q <= 10**(2m), so a short
+   argument is one series.  Then
    arctan(t) = arctan(a/b) + arctan((t - a/b)/(1 + a*t/b)) exactly, which
    on the pair is (p, q) <- (p*b - a*q, q*b + a*p).  a has the sign of p,
    so a*p >= 0: q stays positive, no half-turn enters, and the new |t| is
-   below 10**-m.  The pair grows by about m digits per step.
+   below 10**-m.  The pair grows by about m digits per step.  This loop,
+   ``_bit_burst``, is shared with the digit engine, which sums each chunk
+   by its own series; the two routes share the exact chunking and nothing
+   else.  A surd's q = S never meets the whole rule before step 4 stops
+   the loop.
 3. Each arctan(a/b) is Euler's series
    arctan(x) = x/(1 + x**2) * Sum (2k)!!/(2k+1)!! * (x**2/(1 + x**2))**k,
    run over |a| as one integer recurrence with r = a*a + b*b:
@@ -75,6 +80,42 @@ def _floor(v: Value, scale: int) -> int:
     return v.numerator * scale // v.denominator
 
 
+def _pair(t: Value, scale: int) -> tuple[int, int, int]:
+    """(p, q, slack) for t: a rational t is p/q itself with no slack, and a
+    surd t is floored to p/scale, which moves arctan(t) by less than the one
+    unit of slack, as p/scale <= t < (p + 1)/scale and arctan has slope at
+    most 1."""
+    if isinstance(t, Surd):
+        return _floor(t, scale), scale, 1
+    return t.numerator, t.denominator, 0
+
+
+def _bit_burst(p: int, q: int, precision: int):
+    """The chunks of arctan(p/q), |p/q| <= 1 and q > 0, and its remainder.
+
+    Returns ([(a, b), ...], (p', q')) with arctan(p/q) equal to the sum of
+    arctan(a/b) over the chunks plus arctan(p'/q').  The chunk at m = 1, 2,
+    4, ... decimals is p/q truncated toward zero to m decimals, or p/q
+    itself once q <= 10**(2m); the loop stops when nothing is left or when
+    3m >= precision, and then |p'/q'| < 10**-m.
+    """
+    chunks, m = [], 1
+    while p:
+        b = 10**m
+        if q <= b * b:
+            a, b = p, q
+        else:
+            a = p * b // q if p > 0 else -(-p * b // q)
+        if a:
+            chunks.append((a, b))
+            # a*p >= 0 keeps q positive
+            p, q = p * b - a * q, q * b + a * p
+        if p and 3 * m >= precision:
+            break
+        m *= 2
+    return chunks, (p, q)
+
+
 def _times(u: Interval, q: Fraction | int) -> Interval:
     """Integer enclosure of q times the interval u."""
     lo, hi = sorted((u[0] * q.numerator, u[1] * q.numerator))
@@ -114,32 +155,18 @@ class FixedPointContext:
         """An interval containing arctan(x)*S."""
         angle = NormalAngle(as_value(x), 0).canonical()
         t, quarters, scale = angle.t, 2 * angle.h, self.scale
-        if isinstance(t, Surd):
-            # p/S <= t < (p + 1)/S moves arctan(t) by less than one unit
-            p, q, slack = _floor(t, scale), scale, 1
-        else:
-            p, q, slack = t.numerator, t.denominator, 0
+        p, q, slack = _pair(t, scale)
         if 2 * abs(p) > q:
             s = 1 if p > 0 else -1
             p, q, quarters = p - s * q, q + s * p, quarters + s
         lo, hi = -slack, slack
-        m = 1
-        while p:
-            b = 10**m
-            if q <= b:
-                a, b = p, q
-            else:
-                a = p * b // q if p > 0 else -(-p * b // q)
-            if a:
-                u, v = _atan_series(a, b, scale)
-                lo, hi = lo + u, hi + v
-                # a*p >= 0 keeps q positive
-                p, q = p * b - a * q, q * b + a * p
-            if p and 3 * m >= self.wp:
-                # |p/q| < 10**-m, so |arctan(p/q) - p/q| < 10**(-3m)/3 < 1/S
-                lo, hi = lo + p * scale // q - 1, hi - (-p * scale // q) + 1
-                break
-            m *= 2
+        chunks, (p, q) = _bit_burst(p, q, self.wp)
+        for a, b in chunks:
+            u, v = _atan_series(a, b, scale)
+            lo, hi = lo + u, hi + v
+        if p:
+            # |p/q| < 10**-m with 3m >= wp, so |arctan(p/q) - p/q| < 1/S
+            lo, hi = lo + p * scale // q - 1, hi - (-p * scale // q) + 1
         if quarters:
             a, b = _times(pi_interval(self.wp), Fraction(quarters, 4))
             lo, hi = lo + a, hi + b

@@ -57,6 +57,7 @@ class ArctanTerm:
     arg: Value
 
     def __post_init__(self):
+        check_int(self.coeff, "coeff")
         if self.coeff == 0:
             raise InvalidArgumentError("zero coefficient")
         object.__setattr__(self, "arg", as_value(self.arg))
@@ -76,6 +77,8 @@ class Identity:
     def __post_init__(self):
         if not self.terms:
             raise InvalidArgumentError("an identity needs at least one term")
+        if isinstance(self.rhs, Surd):
+            raise InvalidArgumentError("rhs must be a rational multiple of pi")
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
@@ -106,7 +109,7 @@ def machin_pair(n: int, x) -> Identity:
     pair = uv_pair(n, x)
     total = pair.u + pair.v
     if value_sign(total) == 0:
-        raise RightAngleError(f"u_{n} + v_{n} vanishes at x = {x}")
+        raise RightAngleError(f"u_n + v_n vanishes at x = {format_value(x)}")
     terms = (ArctanTerm(n, 1 / x), ArctanTerm(1, (pair.u - pair.v) / total))
     return Identity(terms, _rhs_from_fold(terms))
 
@@ -193,7 +196,7 @@ def half_turn(x) -> tuple[Identity, Identity]:
             out.append(Identity(terms, _rhs_from_fold(terms)))
     except IncompatibleFieldError:
         raise UnsupportedRadicalError(
-            f"sqrt(1 + x^2) = {r} lies outside the field of x = {x}"
+            f"sqrt(1 + x^2) lies outside the field of x = {format_value(x)}"
         ) from None
     return (out[0], out[1])
 

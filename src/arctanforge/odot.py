@@ -157,7 +157,7 @@ class NormalAngle:
         t = _TAN_TABLE.get(frac)
         if t is None:
             raise UnsupportedRhsError(
-                f"tan({r}*pi) is not representable in a quadratic field"
+                f"tan({format_value(r)}*pi) is not representable in a quadratic field"
             )
         return cls(t, int(h))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IdentitySyntaxError, InvalidRadicandError
+from .errors import IdentitySyntaxError, InvalidArgumentError, InvalidRadicandError
 from .generator import ArctanTerm, Identity
 from .values import Value, _text_int, format_value, surd_normalize, value_sign
 
@@ -248,7 +248,12 @@ def identity_to_dict(identity: Identity, annotations: Annotations | None = None)
 
 
 def identity_from_dict(data: dict) -> Identity:
-    terms = tuple(
-        ArctanTerm(int(t["coeff"]), parse_value(t["arg"])) for t in data["terms"]
-    )
-    return Identity(terms, Fraction(data["rhs"]))
+    """The Identity of an `identity_to_dict` encoding; `text` and
+    `annotations` are not read."""
+    try:
+        terms = [ArctanTerm(t["coeff"], parse_value(t["arg"])) for t in data["terms"]]
+        return Identity(terms, parse_value(data["rhs"]))
+    except KeyError as e:
+        raise InvalidArgumentError(f"identity dict has no {e.args[0]!r} key") from None
+    except TypeError:
+        raise InvalidArgumentError("identity dict has a value of the wrong type") from None

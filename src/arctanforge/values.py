@@ -141,11 +141,11 @@ class Surd:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         if self.d < 2:
-            raise InvalidRadicandError(f"radicand must be >= 2, got {self.d}")
+            raise InvalidRadicandError(f"radicand must be >= 2, got {_int_text(self.d)}")
         _, core = _squarefree_decompose(self.d)
         if core != self.d:
             raise InvalidRadicandError(
-                f"radicand {self.d} is not squarefree; use surd_normalize()"
+                f"radicand {_int_text(self.d)} is not squarefree; use surd_normalize()"
             )
         if self.b == 0:
             raise InvalidRadicandError("b = 0 is rational; use surd_normalize()")
@@ -337,7 +337,7 @@ def surd_normalize(a, b, d: int) -> Value:
     d must be a positive integer; a and b rational.
     """
     if not isinstance(d, int) or d <= 0:
-        raise InvalidRadicandError(f"radicand must be a positive integer, got {d!r}")
+        raise InvalidRadicandError("radicand must be a positive integer")
     a, b = Fraction(a), Fraction(b)
     s, core = _squarefree_decompose(d)
     return _make(a, b * s, core)

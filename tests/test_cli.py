@@ -249,6 +249,16 @@ def test_verify_syntax_error_file(tmp_path, capsys):
         assert err.startswith("error: line 1:") and "column" in err, err
 
 
+def test_verify_exact_unsupported_huge_rhs(tmp_path, capsys):
+    # the rhs has no quadratic tangent, and its 5000-digit numerator is
+    # past the int-str limit, so the message must format it without str()
+    f = tmp_path / "huge.txt"
+    f.write_text(f"atan(1) = {'1' * 5000}/7*pi\n")
+    assert run(["verify", "--exact", "--file", str(f)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err[:1]
+
+
 def test_verify_missing_file(capsys):
     assert run(["verify", "--exact", "--file", "/no/such/file"]) == 2
     assert "error" in capsys.readouterr().err
@@ -296,11 +306,11 @@ def test_digits_unconfirmed_tail_warns(monkeypatch, capsys):
     assert "unconfirmed" in capsys.readouterr().err
 
 
-def test_digits_rejects_surd_identity(tmp_path, capsys):
+def test_digits_from_surd_identity(tmp_path, capsys):
     f = tmp_path / "phi.txt"
     f.write_text("2*atan(surd(-1/2,1/2,5)) + atan(-1/3) = 1/4*pi\n")
-    assert run(["digits", "--file", str(f)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert run(["digits", "--file", str(f), "--digits", "30"]) == 0
+    assert out_lines(capsys) == ["3.141592653589793238462643383279"]
 
 
 def test_measure_command(tmp_path, capsys):

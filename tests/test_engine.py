@@ -2,11 +2,13 @@
 
 import contextlib
 import decimal
+import importlib.util
 import math
 import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,15 +21,17 @@ from arctanforge import (
     InconsistentInputError,
     InvalidArgumentError,
     RationalOnlyError,
-    ReductionRequiredError,
     diff_identity,
     golden_family,
+    half_turn,
     lehmer_measure,
     machin_pair,
     pi_digits,
+    quad_reduce,
+    surd_normalize,
 )
 from arctanforge import engine
-from arctanforge.engine import _term_count, atan_series_split
+from arctanforge.engine import atan_series_split
 
 
 def ident(terms, rhs):
@@ -68,49 +72,73 @@ def test_atan_series_normalization():
 
 
 def test_atan_series_rejects_large_arguments():
-    for p, q in [(1, 1), (3, 2), (-5, 5), (79, 3), (10**5000, 3)]:
-        with pytest.raises(ReductionRequiredError):
+    # arctan(+-1) = +-pi/4 is inside the domain of Euler's series
+    assert atan_series_split(1, 1, 20) == 78539816339744830961
+    assert atan_series_split(-5, 5, 20) == -78539816339744830962
+    for p, q in [(3, 2), (79, 3), (10**5000, 3)]:
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError):
             atan_series_split(p, q, 20)
+        assert time.perf_counter() - start < 0.1
+
+
+def euler_tail_holds(p: int, q: int, n: int, decimals: int) -> bool:
+    """Whether n terms of Euler's series for arctan(p/q) pass the tail test."""
+    return 10**decimals * abs(p) ** (2 * n + 1) < q * (p * p + q * q) ** n
+
+
+class TermCount(Exception):
+    """Raised by a spy in place of the root split, carrying its term count."""
+
+
+def term_count(monkeypatch, p, q, digits: int, num=int) -> int:
+    def spy(p, q, lo, hi, *args, **kwargs):
+        raise TermCount(hi)
+
+    monkeypatch.setattr(engine, "_split", spy)
+    with pytest.raises(TermCount) as caught:
+        atan_series_split(num(p), num(q), digits)
+    monkeypatch.undo()
+    return caught.value.args[0]
 
 
 def test_split_equals_naive_partial_sum():
-    # the tree must produce the floor of the exact partial sum with the
-    # same term count, bit for bit
+    # the tree must produce the floor of the exact partial sum of Euler's
+    # series with the least term count that passes the tail test, bit for bit
     rng = random.Random(83)
     for _ in range(20):
         q = rng.randint(2, 60)
-        p = rng.randint(1, q - 1) * rng.choice((1, -1))
+        p = rng.randint(1, q) * rng.choice((1, -1))
         g = math.gcd(p, q)
         p, q = p // g, q // g
-        if abs(p) == q:
-            continue
         digits = rng.randint(5, 40)
-        n = _term_count(p, q, digits + 10)
-        exact = sum(
-            Fraction((-1) ** j * p ** (2 * j + 1), (2 * j + 1) * q ** (2 * j + 1))
-            for j in range(n)
-        )
+        n = 1
+        while not euler_tail_holds(p, q, n, digits + engine.SPLIT_GUARD):
+            n += 1
+        r = p * p + q * q
+        term, exact = Fraction(p * q, r), Fraction(0)
+        for k in range(n):
+            exact += term
+            term *= Fraction(2 * (k + 1) * p * p, (2 * k + 3) * r)
         expect = exact * 10**digits
         expect = expect.numerator // expect.denominator
         assert atan_series_split(p, q, digits) == expect, (p, q, digits)
 
 
-def test_term_count_is_minimal():
+def test_term_count_is_minimal(monkeypatch):
     cases = [(1, 2, 20), (3, 79, 50), (1, 239, 100), (17, 31, 3172), (-17, 31, 30010)]
+    cases += [(1, 1, 30), (-1, 1, 300), (10**69 - 1, 10**69, 200)]
     rng = random.Random(89)
     while len(cases) < 40:
         q = rng.randint(2, 10 ** rng.choice((1, 3, 70)))
-        p = rng.randint(1, q - 1) * rng.choice((1, -1))
-        # arguments near +-1 need thousands of terms and huge exact powers
-        if math.log10(q) - math.log10(abs(p)) > 0.05:
-            cases.append((p, q, rng.randint(1, 400)))
+        p = rng.randint(1, q) * rng.choice((1, -1))
+        cases.append((p, q, rng.randint(1, 400)))
     for p, q, d in cases:
-        n = _term_count(p, q, d)
-        assert 10**d * abs(p) ** (2 * n + 1) < (2 * n + 1) * q ** (2 * n + 1)
-        m = n - 1
-        assert m == 0 or 10**d * abs(p) ** (2 * m + 1) >= (2 * m + 1) * q ** (2 * m + 1)
-        with decimal.localcontext(engine.EXACT):
-            assert _term_count(p, q, d, Decimal) == n
+        n = term_count(monkeypatch, p, q, d)
+        decimals = d + engine.SPLIT_GUARD
+        assert euler_tail_holds(p, q, n, decimals), (p, q, d)
+        assert n == 1 or not euler_tail_holds(p, q, n - 1, decimals), (p, q, d)
+        assert term_count(monkeypatch, p, q, d, Decimal) == n
 
 
 def test_pi_digits_small():
@@ -155,9 +183,30 @@ def test_pi_digits_term_order_irrelevant():
     assert pi_digits(flipped, 200).digits == pi_digits(EULER, 200).digits
 
 
-def test_pi_digits_rejects_surds():
-    with pytest.raises(RationalOnlyError):
-        pi_digits(golden_family("odd", 0), 20)
+def reference_decimals(count: int) -> str:
+    """pi to `count` truncated decimals from the benchmark's Chudnovsky run."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return "3." + reference.pi_decimals(count)
+
+
+def test_pi_digits_from_surd_identities():
+    # the paper's identities at the golden mean, at Lucas numbers and at a
+    # quadratic irrationality give proved digits of pi
+    truth = reference_decimals(300)
+    idents = [golden_family(kind, 1) for kind in ("odd", "even", "only_lucas")]
+    idents += [golden_family(kind, 0) for kind in ("lucas_minus", "lucas_plus")]
+    idents += [quad_reduce(2, -1, surd_normalize(1, 1, 2)), half_turn(Fraction(1, 2))[0]]
+    idents += [diff_identity(surd_normalize(3, -1, 2))]
+    for ident in idents:
+        r = pi_digits(ident, 300)
+        assert r.digits == truth and not r.unrounded, ident
+    # past k = 0 the half-turns of the Lucas pairs cancel pi from the right side
+    for kind in ("lucas_minus", "lucas_plus"):
+        with pytest.raises(DegenerateIdentityError):
+            pi_digits(golden_family(kind, 1), 300)
 
 
 def test_pi_digits_rejects_wrong_identity():
@@ -294,9 +343,11 @@ def test_decimal_series_within_a_unit_of_the_int_floor():
 
 
 def test_decimal_runs_in_an_exact_context(monkeypatch):
-    # machin_pair(200, 3) carries a 70-digit argument near -0.9, so its
-    # tree crosses over to Decimal at 300 digits without forcing
+    # machin_pair(200, 3) carries a 70-digit argument near -0.9, cut into
+    # chunks, and the golden identity a surd with a remainder; both run on
+    # forced Decimal trees
     euler = pi_digits(EULER, 300).digits
+    monkeypatch.setattr(engine, "DECIMAL_DIGITS", 0)
     contexts, kinds = [], set()
     real = engine.localcontext
 
@@ -314,8 +365,9 @@ def test_decimal_runs_in_an_exact_context(monkeypatch):
     monkeypatch.setattr(engine, "atan_series_split", typed)
     outer = decimal.getcontext()
     outer.clear_flags()
-    r = pi_digits(machin_pair(200, Fraction(3)), 300)
-    assert r.digits == euler and not r.unrounded
+    for ident in (machin_pair(200, Fraction(3)), golden_family("even", 1)):
+        r = pi_digits(ident, 300)
+        assert r.digits == euler and not r.unrounded
     assert kinds == {Decimal} and contexts
     for c in contexts:
         for signal in (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation):

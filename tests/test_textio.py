@@ -11,6 +11,7 @@ from arctanforge import (
     Identity,
     IdentityDocument,
     IdentitySyntaxError,
+    InvalidArgumentError,
     Surd,
     diff_identity,
     format_document,
@@ -184,6 +185,8 @@ def test_json_round_trip():
         machin_pair(5, Fraction(2)),
         golden_family("even", 1),
         ident([(1, Fraction(-1, 2))], Fraction(0)),
+        # a right side past the interpreter's 4300-digit int-str limit
+        ident([(3, Fraction(1, 7))], Fraction(10**5000 + 1, 4)),
     ]
     for p in pool:
         d = identity_to_dict(p)
@@ -191,7 +194,36 @@ def test_json_round_trip():
         back = identity_from_dict(json.loads(blob))
         assert format_identity(back) == format_identity(p)
         assert d["text"] == format_identity(p)
-        assert d["rhs"] == str(p.rhs)
+        assert d["rhs"] == format_value(p.rhs)
+
+
+def test_json_decoder_rejects_bad_input():
+    good = identity_to_dict(machin_pair(2, Fraction(7)))
+    for coeff in (2.5, 2.0, True, "2", None):
+        bad = json.loads(json.dumps(good))
+        bad["terms"][0]["coeff"] = coeff
+        with pytest.raises(InvalidArgumentError):
+            identity_from_dict(bad)
+    bad = dict(good, rhs="surd(1,1,2)")
+    with pytest.raises(InvalidArgumentError):
+        identity_from_dict(bad)
+    for key in ("terms", "rhs"):
+        bad = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(InvalidArgumentError, match=key):
+            identity_from_dict(bad)
+    for key in ("coeff", "arg"):
+        bad = json.loads(json.dumps(good))
+        del bad["terms"][1][key]
+        with pytest.raises(InvalidArgumentError, match=key):
+            identity_from_dict(bad)
+    # values that JSON types but the encoding never holds
+    for bad in (dict(good, rhs=0.25), dict(good, terms=5), dict(good, terms=[5])):
+        with pytest.raises(InvalidArgumentError):
+            identity_from_dict(bad)
+    bad = json.loads(json.dumps(good))
+    bad["terms"][0]["arg"] = 5
+    with pytest.raises(InvalidArgumentError):
+        identity_from_dict(bad)
 
 
 def test_json_annotations_field():

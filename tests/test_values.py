@@ -45,6 +45,15 @@ def test_surd_constructor_validates():
         Surd(0, 1, 4)  # a perfect square
     with pytest.raises(InvalidRadicandError):
         Surd(1, 0, 5)
+    # radicands past the int-str limit still give a typed error, not the
+    # interpreter's ValueError from formatting the message
+    for make in (
+        lambda: Surd(1, 1, -(10**5000)),
+        lambda: Surd(1, 1, 4 * 10**5000),
+        lambda: surd_normalize(1, 1, -(10**5000)),
+    ):
+        with pytest.raises(InvalidRadicandError):
+            make()
 
 
 def test_surd_normalize_extracts_squares():
