@@ -22,20 +22,47 @@ Term k is at most |a|b/r * (a^2/r)^k, and each later term is below y times
 the one before, y = a^2/r, so with 1 - y = b^2/r the tail from N on is
 below |a|^(2N+1) / (b*r^N).  N is the least N >= 1 with
 10^(S+10) * |a|^(2N+1) < b * r^N, which puts the tail below 10^-(S+10).
-A short rational argument (q <= 100) is one chunk, so one series.
+A short rational argument (q <= 100) is one chunk, so one series.  The
+tree runs on |a|, so P, Q and T are never negative, and the sign of a is
+put on the quotient.
+
+Capped tree.  The exact root Q has several times S digits (about 4 for
+arctan(1/5) and 13 for the arctan(17/31) of machin_pair(2, 7)), but only
+S digits of T/Q are read.  So each range [lo, hi) is held to a room of
+B - w units of the base beta (bits on ints, digits on Decimal), where B is
+S + 20 + len(str(N)) digits (times 3322/1000 on ints) and w is a decay
+bound: d = P(0,lo)/Q(0,lo) < beta^-w.  The recursion runs left to right
+and gives a right child the room of its parent less
+len(Q1) - len(P1) - 2 units of its left sibling, as
+P1/Q1 < beta^(len(P1) - len(Q1) + 1) and the spare unit covers the
+sibling's own floors.  A range whose Q would exceed its room floors P, Q
+and T by one common beta^k down to the room; a range whose estimated Q
+fits is built exactly, so a float estimate only picks the exact ranges.
+
+Cap lemma.  Floors of non-negative X and Q by beta^k move X/Q by at most
+max(X/Q, 1)/Q', and T/Q and P/Q stay below 1 (every term ratio is at most
+1/2), so a floor moves both by under 2/Q'.  The combine step is exact and
+bilinear in each child's (P, Q, T), with every ratio in it below 1, so an
+error e in the T/Q or P/Q of [lo, hi) reaches the root as at most d*e,
+up to products of errors.  A floored range keeps Q' >= beta^(room - 1), so
+its floors move the root by under 4*beta^(1-B), and fewer than 2N ranges
+move it by under 8N*beta^(1-B) < 10^-(S+18) in all.  The room stays
+positive: by the minimality of N, d >= 10^-(S+10)/(4N) for every lo < N,
+so B - w stays above 8 digits.
 
 Number type.  The tree is the same for ints and for the C `decimal`
 module, whose products use a number-theoretic transform and whose integer
 division uses Newton iteration, where CPython's ints use Karatsuba and a
-quadratic `//`.  A run whose estimated root operands, summed over its
-chunks, exceed DECIMAL_DIGITS digits runs its trees on Decimal; smaller
-runs stay on ints.  Decimal trees build subtrees of up to LEAF_DIGITS
-digits in ints and convert them whole.  Only a long argument or a surd
-converts a big int: the chunk of a late bit-burst step, to Decimal and
-back, its first leaf, and the remainder's floor.  All Decimal work runs
-in EXACT: unbounded precision and exponent with Inexact, Rounded and
-InvalidOperation trapped, so any rounding raises instead of passing
-silently.
+quadratic `//`.  A run whose largest capped root, the estimated root of
+its biggest tree held to S, exceeds DECIMAL_DIGITS digits runs its trees
+on Decimal; smaller runs stay on ints.  The chunks reach the series as
+ints with the run's number type.  Decimal trees build subtrees of up to
+LEAF_DIGITS digits in ints and convert them whole.  Only a long argument
+or a surd converts a big int: the leaves of a late bit-burst chunk and
+the remainder's floor.  All Decimal work runs in EXACT: unbounded
+precision and exponent with Inexact, Rounded and InvalidOperation
+trapped, so any rounding raises instead of passing silently; every floor
+of the cap is an explicit ROUND_FLOOR.
 
 Error budget.  A run works at S = D + GUARD.  Each term c*arctan(t) gets
 one value and a count u of units of 10^-S that bounds its error:
@@ -43,15 +70,12 @@ one value and a count u of units of 10^-S that bounds its error:
 * A surd t is first floored to p/10^S by ``fixedpoint._pair``, one
   ``isqrt``.  arctan has slope at most 1, so this moves the angle by less
   than 1 unit, and u counts 1.
-* Each chunk's series value is taken once.  On ints it is
-  floor(T * 10^S / Q), within 1 unit of the partial sum.  On Decimal, T
-  and Q are first floored to the top S + 3 digits of Q: T' = floor(T/10^k)
-  and Q' = floor(Q/10^k) >= 10^(S+2).  As |T/Q| < 1, |T'/Q' - T/Q| < 2/Q',
-  so the quotient moves by less than 2*10^-2 units, and the integer
-  division, which truncates toward zero, adds less than 1 unit on either
-  side.  Either way the value is within 2 units of arctan(a/b) * 10^S,
-  and u counts 3 per chunk: the 2 of an exact floor plus a full unit for
-  the truncated division.
+* Each chunk's series value is taken once, from the capped root:
+  T * 10^S // Q, a floor on ints and a truncation toward zero on Decimal,
+  so within 1 unit of a quotient that the cap lemma puts within 10^-18
+  units of the partial sum.  The value is thus within one unit of the
+  exact floor, and within 1 + 10^-18 + 10^-10 < 2 units of
+  arctan(a/b) * 10^S.  u counts 3 per chunk.
 * The remainder p/q that the loop leaves once 3m >= S has |p/q| < 10^-m,
   so |arctan(p/q) - p/q| < 10^(-3m)/3 <= 10^-S/3, and floor(p * 10^S / q),
   taken on ints, is within 4/3 units.  u counts 2.
@@ -119,11 +143,13 @@ __all__ = [
 SPLIT_GUARD = 10
 # decimals past the D asked for at which a digit run takes its enclosure
 GUARD = 90
-# estimated root operand digits, summed over a run's chunks, above which
-# the trees run on Decimal: measured on Python 3.11 (2-vCPU Xeon), Decimal
-# runs took 1.1-1.4x the int time below 45k, about the same near 100k and
-# 0.74-0.77x from 180k up
-DECIMAL_DIGITS = 100_000
+# digits of the largest capped root of a run (the estimated root of its
+# biggest tree, at most S) above which the trees run on Decimal: measured on
+# Python 3.11 (2-vCPU Xeon) over Machin, Euler, machin_pair(2, 7),
+# machin_pair(5, 2) and golden_family("even", 1), Decimal runs took 1.1-1.5x
+# the int time at S of 10^4 to 3*10^4, 0.95-1.14x near 4.5*10^4, 0.84-1.08x
+# at 5*10^4 to 6*10^4 and 0.65-0.91x at 10^5
+DECIMAL_DIGITS = 50_000
 # largest int subtree, in estimated digits, that a Decimal tree converts
 LEAF_DIGITS = 1000
 # exact integer arithmetic: any rounding raises
@@ -143,28 +169,61 @@ class DigitResult:
     unrounded: bool = False
 
 
-def _split(p: int, q: int, lo: int, hi: int, num=int, need_p=True) -> tuple:
-    """(P, Q, T) of Euler's series for arctan(p/q) over the terms [lo, hi).
+def _length(x) -> int:
+    """Units in a non-negative x: bits of an int, digits of an integral
+    Decimal (one for zero)."""
+    return x.bit_length() if isinstance(x, int) else x.adjusted() + 1
 
-    The partial sum is T/Q.  The values have type `num`; a Decimal tree
-    builds each range of at most LEAF_DIGITS estimated digits in ints and
-    converts it whole.  Only a left child's P is read, so the root and its
-    right spine are called without `need_p` and skip that product.
+
+def _cap(k: int, values: tuple) -> tuple:
+    """(P, Q, T) each floored by base**k: 2**k on ints, 10**k on Decimal; a
+    P of None stays None."""
+    p, q, t = values
+    if isinstance(q, int):
+        return None if p is None else p >> k, q >> k, t >> k
+    p = None if p is None else _drop_digits(p, k)
+    return p, _drop_digits(q, k), _drop_digits(t, k)
+
+
+def _split(a: int, b: int, lo: int, hi: int, num=int, need_p=True, room=None) -> tuple:
+    """(P, Q, T) of Euler's series for arctan(a/b), a >= 0, over [lo, hi).
+
+    The partial sum over the range is T/Q and the product of its term
+    ratios P/Q.  The values have type `num`; a Decimal tree builds each
+    range of at most LEAF_DIGITS estimated digits in ints and converts it
+    whole.  Only a left child's P is read, so the root and its right spine
+    are called without `need_p` and skip that product.  With `room`, a range
+    whose Q would exceed `room` units (bits on ints, digits on Decimal) is
+    floored by ``_cap`` to that size, and a right child's room is what its
+    left sibling's decay leaves; a range whose estimated Q fits its room is
+    built exactly.
     """
+    # a float estimate of Q only picks the ranges built exactly
+    if room is not None and (hi - lo) * math.log(
+        (a * a + b * b) * (2 * hi + 1), 2 if num is int else 10
+    ) <= room:
+        room = None
     if num is not int and (
         hi - lo == 1
-        or (hi - lo) * math.log10((p * p + q * q) * (2 * hi + 1)) <= LEAF_DIGITS
+        or (hi - lo) * math.log10((a * a + b * b) * (2 * hi + 1)) <= LEAF_DIGITS
     ):
-        return tuple(map(num, _split(p, q, lo, hi)))
-    if hi - lo == 1:
-        if lo == 0:
-            return p * q, p * p + q * q, p * q
-        pk = 2 * lo * p * p
-        return pk, (2 * lo + 1) * (p * p + q * q), pk
-    mid = (lo + hi) // 2
-    p1, q1, t1 = _split(p, q, lo, mid, num)
-    p2, q2, t2 = _split(p, q, mid, hi, num, need_p)
-    return p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
+        values = tuple(map(num, _split(a, b, lo, hi)))
+    elif hi - lo == 1:
+        r = a * a + b * b
+        pk = a * b if lo == 0 else 2 * lo * a * a
+        values = pk, r if lo == 0 else (2 * lo + 1) * r, pk
+    else:
+        mid = (lo + hi) // 2
+        p1, q1, t1 = _split(a, b, lo, mid, num, True, room)
+        right = room
+        if room is not None:
+            # P1/Q1 < base**(len(P1) - len(Q1) + 1); one more unit covers
+            # the floors inside the left child
+            right -= max(0, _length(q1) - _length(p1) - 2)
+        p2, q2, t2 = _split(a, b, mid, hi, num, need_p, right)
+        values = p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
+    excess = 0 if room is None else _length(values[1]) - room
+    return _cap(excess, values) if excess > 0 else values
 
 
 def _term_estimate(p: int, q: int, decimals: int) -> float:
@@ -174,39 +233,41 @@ def _term_estimate(p: int, q: int, decimals: int) -> float:
     return (decimals + lp - lq) / (math.log10(p * p + q * q) - 2 * lp)
 
 
-def atan_series_split(p, q, digits: int):
-    """arctan(p/q) * 10**digits to within 2 units, for |p/q| <= 1.
+def atan_series_split(p: int, q: int, digits: int, num=int):
+    """arctan(p/q) * 10**digits, for |p/q| <= 1, as an integral `num`.
 
-    Generic in the number type: ints give the floor of the exact partial
-    sum of Euler's series, whose distance from arctan(p/q) is below
-    10**-(digits + 10), as an int; Decimals give an integral Decimal by the
-    truncated division of the module docstring.
+    Euler's series is summed to a partial sum within 10**-(digits + 10) of
+    arctan(p/q), and its capped tree gives a T/Q within 10**-(digits + 18)
+    of that sum.  The value is 10**digits * T/Q, floored on ints and
+    truncated toward zero on Decimal, so it is within one unit of the floor
+    of the partial sum; where no range was capped, the int value is that
+    floor.
     """
     # the sign goes to p and the gcd is divided out, as the chunks need
-    num, t = type(p), Fraction(int(p), int(q))
+    t = Fraction(p, q)
     p, q = t.numerator, t.denominator
     if p == 0:
         return num(0)
     if abs(p) > q:
         raise InvalidArgumentError("the series needs |p/q| <= 1")
-    decimals = digits + SPLIT_GUARD
+    a, decimals = abs(p), digits + SPLIT_GUARD
+    # the least N >= 1 with 10**decimals*|p|**(2N+1) < q*r**N, stepped up
+    # exactly from a float estimate below it
+    n = max(1, math.floor(_term_estimate(p, q, decimals)) - 1)
+    a2 = a * a
+    r = a2 + q * q
+    x, y = 10**decimals * a ** (2 * n + 1), q * r**n
+    while x >= y:
+        n, x, y = n + 1, x * a2, y * r
+    # the root keeps digits + 20 + len(str(n)) digits
+    room = decimals + SPLIT_GUARD + len(str(n))
+    if num is int:
+        room = room * 3322 // 1000 + 1  # 3.322 > log2(10)
     with localcontext(EXACT):
-        # the least N >= 1 with 10**decimals*|p|**(2N+1) < q*r**N, stepped up
-        # exactly from a float estimate below it
-        n = max(1, math.floor(_term_estimate(p, q, decimals)) - 1)
-        ap, bq = num(abs(p)), num(q)
-        p2 = ap * ap
-        r = p2 + bq * bq
-        x, y = num(10) ** decimals * ap ** (2 * n + 1), bq * r**n
-        while x >= y:
-            n, x, y = n + 1, x * p2, y * r
-        _, big_q, big_t = _split(p, q, 0, n, num, need_p=False)
-        if num is int:
-            return big_t * 10**digits // big_q
-        k = big_q.adjusted() - digits - 2
-        if k > 0:
-            big_t, big_q = _drop_digits(big_t, k), _drop_digits(big_q, k)
-        return big_t.scaleb(digits) // big_q
+        _, big_q, big_t = _split(a, q, 0, n, num, False, room)
+        top = big_t * 10**digits if num is int else big_t.scaleb(digits)
+        # a floor on ints and a truncation toward zero on Decimal
+        return (top if p > 0 else -top) // big_q
 
 
 def _drop_digits(x, k: int):
@@ -264,17 +325,18 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
         raise DegenerateIdentityError(
             "pi cancels out after half-turn elimination"
         )
-    # one number type for the whole run, so the values sum in one type
+    # one number type for the whole run, so the values sum in one type; it
+    # follows the largest root a tree reaches, which the cap holds near S
     size = 0.0
     for _, chunks, _, _ in work:
         for a, b in chunks:
             n = max(1.0, _term_estimate(a, b, scale))
-            size += n * (math.log10(a * a + b * b) + math.log10(2 * n + 1))
-    num = Decimal if size > DECIMAL_DIGITS else int
+            size = max(size, n * (math.log10(a * a + b * b) + math.log10(2 * n + 1)))
+    num = Decimal if min(size, scale) > DECIMAL_DIGITS else int
     with localcontext(EXACT):
         values = []
         for c, chunks, (p, q), slack in work:
-            f = sum(atan_series_split(num(a), num(b), scale) for a, b in chunks)
+            f = sum(atan_series_split(a, b, scale, num) for a, b in chunks)
             units = 3 * len(chunks) + (2 if p else 0) + slack
             values.append((c, f + num(p * 10**scale // q), units))
         text, unrounded = _enclosure_text(values, rprime, digits)

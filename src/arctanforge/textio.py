@@ -14,6 +14,7 @@ printing after parsing is idempotent.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +66,10 @@ def format_identity(identity: Identity) -> str:
     return _signed_sum(terms) + f" = {format_value(identity.rhs)}*pi"
 
 
+_SPACE = re.compile(r"[ \t]+")
+_UINT = re.compile(r"[0-9]+")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -75,8 +80,8 @@ class _Scanner:
         raise IdentitySyntaxError(message, (self.i if col is None else col) + 1)
 
     def skip_ws(self) -> None:
-        while self.i < self.n and self.text[self.i] in " \t":
-            self.i += 1
+        if self.i < self.n and self.text[self.i] in " \t":
+            self.i = _SPACE.match(self.text, self.i).end()
 
     def peek(self) -> str:
         self.skip_ws()
@@ -98,14 +103,11 @@ class _Scanner:
 
     def uint(self) -> int:
         self.skip_ws()
-        j = self.i
-        while j < self.n and "0" <= self.text[j] <= "9":
-            j += 1
-        if j == self.i:
+        token = _UINT.match(self.text, self.i)
+        if token is None:
             self.err("expected an unsigned integer")
-        out = _text_int(self.text[self.i : j])
-        self.i = j
-        return out
+        self.i = token.end()
+        return _text_int(token.group())
 
     def rational(self) -> Fraction:
         neg = self.lit("-")

@@ -7,6 +7,8 @@
   Lucas and Fibonacci numbers all satisfy.
 * The binomial expansion of (x + i)^n evaluated by Horner, against the
   package's powering by squaring.
+* The partial sum of Euler's arctangent series by Horner's rule on one
+  integer fraction, against the digit engine's capped product tree.
 """
 
 from __future__ import annotations
@@ -128,3 +130,14 @@ def uv_closed(n: int, x) -> UVPair:
     for a, b in zip(reversed(cu), reversed(cv)):
         u, v = u * x + a, v * x + b
     return UVPair(u, v, n, x)
+
+
+def euler_partial_floor(p: int, q: int, n: int, digits: int) -> int:
+    """floor(10**digits * pq/r * Sum_{k<n} (2k)!!/(2k+1)!! * (p*p/r)**k),
+    r = p*p + q*q, q > 0: the first n terms of Euler's series for
+    arctan(p/q), nested by Horner's rule into one fraction num/den."""
+    pp, r = p * p, p * p + q * q
+    num = den = 1
+    for k in range(n - 1, 0, -1):
+        num, den = den * (2 * k + 1) * r + num * 2 * k * pp, den * (2 * k + 1) * r
+    return p * q * num * 10**digits // (r * den)

@@ -32,6 +32,7 @@ from arctanforge import (
 )
 from arctanforge import engine
 from arctanforge.engine import atan_series_split
+from oracles import euler_partial_floor
 
 
 def ident(terms, rhs):
@@ -97,15 +98,45 @@ def term_count(monkeypatch, p, q, digits: int, num=int) -> int:
 
     monkeypatch.setattr(engine, "_split", spy)
     with pytest.raises(TermCount) as caught:
-        atan_series_split(num(p), num(q), digits)
+        atan_series_split(p, q, digits, num)
     monkeypatch.undo()
     return caught.value.args[0]
 
 
-def test_split_equals_naive_partial_sum():
+def exact_floor(p: int, q: int, digits: int) -> int:
+    """The floor of 10**digits times the partial sum of Euler's series that
+    atan_series_split(p, q, digits) approximates, from the oracle, with the
+    least term count passing the tail test, stepped up one term at a time."""
+    t = Fraction(p, q)
+    p, q = t.numerator, t.denominator
+    a2, r = p * p, p * p + q * q
+    n, x, y = 1, 10 ** (digits + engine.SPLIT_GUARD) * abs(p) ** 3, q * r
+    while x >= y:
+        n, x, y = n + 1, x * a2, y * r
+    return euler_partial_floor(p, q, n, digits)
+
+
+@contextlib.contextmanager
+def cap_spy(monkeypatch):
+    """Counts the ranges the product tree floors to their room."""
+    fired = []
+    cap = engine._cap
+
+    def counted(k, values):
+        fired.append(k)
+        return cap(k, values)
+
+    monkeypatch.setattr(engine, "_cap", counted)
+    yield fired
+    monkeypatch.undo()
+
+
+def test_split_equals_naive_partial_sum(monkeypatch):
     # the tree must produce the floor of the exact partial sum of Euler's
-    # series with the least term count that passes the tail test, bit for bit
+    # series with the least term count that passes the tail test: bit for
+    # bit where no range was capped, and within one unit where one was
     rng = random.Random(83)
+    capped = 0
     for _ in range(20):
         q = rng.randint(2, 60)
         p = rng.randint(1, q) * rng.choice((1, -1))
@@ -122,7 +153,42 @@ def test_split_equals_naive_partial_sum():
             term *= Fraction(2 * (k + 1) * p * p, (2 * k + 3) * r)
         expect = exact * 10**digits
         expect = expect.numerator // expect.denominator
-        assert atan_series_split(p, q, digits) == expect, (p, q, digits)
+        with cap_spy(monkeypatch) as fired:
+            got = atan_series_split(p, q, digits)
+        if fired:
+            capped += 1
+            assert abs(got - expect) <= 1, (p, q, digits)
+        else:
+            assert got == expect, (p, q, digits)
+    # both contracts are exercised
+    assert 0 < capped < 20
+
+
+def test_capped_tree_within_a_unit_on_both_types(monkeypatch):
+    # 70-digit arguments near +-1 and bit-burst chunks a/10**m: the capped
+    # tree stays within one unit of the exact floor of the partial sum on
+    # ints and on Decimal, and the cap fires in at least a third of the cases
+    rng = random.Random(127)
+    cases = []
+    for _ in range(8):
+        q = rng.randint(10**69, 10**70)
+        cases.append((q - rng.randint(1, 10**68), q))
+        m = rng.randint(1, 70)
+        cases.append((rng.randint(1, 10**m - 1), 10**m))
+    capped = 0
+    for p, q in cases:
+        p *= rng.choice((1, -1))
+        digits = rng.randint(20, 150)
+        exact = exact_floor(p, q, digits)
+        fired_any = False
+        for num in (int, Decimal):
+            with cap_spy(monkeypatch) as fired:
+                got = atan_series_split(p, q, digits, num)
+            fired_any = fired_any or bool(fired)
+            assert isinstance(got, num) and got == int(got)
+            assert abs(got - exact) <= 1, (p, q, digits, num)
+        capped += fired_any
+    assert 3 * capped >= len(cases), capped
 
 
 def test_term_count_is_minimal(monkeypatch):
@@ -278,9 +344,9 @@ def test_feynman_point_one_tree_per_term(leaf_type, monkeypatch):
     calls, enclosures = [], []
     enclose = engine._enclosure_text
 
-    def counted(p, q, digits):
-        calls.append((type(p), digits))
-        return atan_series_split(p, q, digits)
+    def counted(p, q, digits, num):
+        calls.append((num, digits))
+        return atan_series_split(p, q, digits, num)
 
     def attempt(values, rprime, digits):
         enclosures.append(digits)
@@ -331,15 +397,14 @@ def test_decimal_series_within_a_unit_of_the_int_floor():
         if math.log10(q) - math.log10(abs(p)) < 0.1:
             continue
         digits = rng.randint(1, 600 if q < 10**6 else 100)
-        exact = atan_series_split(p, q, digits)
-        d = atan_series_split(Decimal(p), Decimal(q), digits)
+        exact = exact_floor(p, q, digits)
+        d = atan_series_split(p, q, digits, Decimal)
         assert isinstance(d, Decimal) and d == d.to_integral_value()
         assert abs(d - exact) <= 1, (p, q, digits)
-    assert atan_series_split(Decimal(0), Decimal(5), 40) == 0
+    assert atan_series_split(0, 5, 40, Decimal) == 0
     # a single term past the leaf size is still converted
     for p, q in ((1, 10**700 + 1), (-(3**1500), 2**2400)):
-        exact = atan_series_split(p, q, 50)
-        assert abs(atan_series_split(Decimal(p), Decimal(q), 50) - exact) <= 1
+        assert abs(atan_series_split(p, q, 50, Decimal) - exact_floor(p, q, 50)) <= 1
 
 
 def test_decimal_runs_in_an_exact_context(monkeypatch):
@@ -357,9 +422,9 @@ def test_decimal_runs_in_an_exact_context(monkeypatch):
             yield c
             contexts.append(c)
 
-    def typed(p, q, digits):
-        kinds.add(type(p))
-        return atan_series_split(p, q, digits)
+    def typed(p, q, digits, num):
+        kinds.add(num)
+        return atan_series_split(p, q, digits, num)
 
     monkeypatch.setattr(engine, "localcontext", spied)
     monkeypatch.setattr(engine, "atan_series_split", typed)
