@@ -50,6 +50,22 @@ move it by under 8N*beta^(1-B) < 10^-(S+18) in all.  The room stays
 positive: by the minimality of N, d >= 10^-(S+10)/(4N) for every lo < N,
 so B - w stays above 8 digits.
 
+Exact ranges.  A range built exactly, of at most BLOCK terms, and every
+single term, capped or not, is multiplied out in one loop from the left:
+t = t*Q_k + p*P_k, p = p*P_k, q = q*Q_k.  As
+T(i,j) = Sum_k P_k * Prod_{l<k} P_l * Prod_{l>k} Q_l for any bracketing,
+these are the integers an unreduced recursion builds.  Above a block, every
+combine of two exact int ranges first divides P1 and Q2 by
+g = gcd(P1, Q2).  That takes g once out of each of P, Q and T, so T/Q and
+P/Q keep their values, while Q shrinks: Euler's P = Prod 2k*a^2 and
+Q = Prod (2k+1)*r share most of their odd primes, and 4000 exact terms of
+arctan(1/5) hold 6.6 bits of Q per term instead of 16.2.  Capped ranges
+take no gcd: a floored value has no factor worth a quadratic gcd.  The cap
+lemma, the room rule and the budget read only T/Q, P/Q and the lengths
+through P1/Q1 < beta^(len(P1) - len(Q1) + 1), which holds for any positive
+integers, and the float estimate of Q only overstates a reduced Q, so the
+proof below is unchanged.
+
 Number type.  The tree is the same for ints and for the C `decimal`
 module, whose products use a number-theoretic transform and whose integer
 division uses Newton iteration, where CPython's ints use Karatsuba and a
@@ -146,12 +162,15 @@ GUARD = 90
 # digits of the largest capped root of a run (the estimated root of its
 # biggest tree, at most S) above which the trees run on Decimal: measured on
 # Python 3.11 (2-vCPU Xeon) over Machin, Euler, machin_pair(2, 7),
-# machin_pair(5, 2) and golden_family("even", 1), Decimal runs took 1.1-1.5x
-# the int time at S of 10^4 to 3*10^4, 0.95-1.14x near 4.5*10^4, 0.84-1.08x
-# at 5*10^4 to 6*10^4 and 0.65-0.91x at 10^5
+# machin_pair(5, 2) and golden_family("even", 1), on the gcd-reduced trees,
+# Decimal runs took 1.3-1.6x the int time at 10^4 to 2*10^4 digits,
+# 1.02-1.19x at 3*10^4, 0.94-1.27x at 4*10^4 to 4.5*10^4, 0.84-1.22x at
+# 5*10^4 to 5.5*10^4, 0.78-0.99x at 6*10^4 and 0.59-0.80x at 10^5
 DECIMAL_DIGITS = 50_000
 # largest int subtree, in estimated digits, that a Decimal tree converts
 LEAF_DIGITS = 1000
+# most terms of an exact range multiplied out in one loop
+BLOCK = 32
 # exact integer arithmetic: any rounding raises
 EXACT = Context(
     prec=MAX_PREC,
@@ -196,7 +215,9 @@ def _split(a: int, b: int, lo: int, hi: int, num=int, need_p=True, room=None) ->
     whose Q would exceed `room` units (bits on ints, digits on Decimal) is
     floored by ``_cap`` to that size, and a right child's room is what its
     left sibling's decay leaves; a range whose estimated Q fits its room is
-    built exactly.
+    built exactly.  Exact int ranges of up to BLOCK terms and single terms
+    are multiplied out by ``_block``, and larger exact int ranges divide
+    gcd(P1, Q2) out of their combine.
     """
     # a float estimate of Q only picks the ranges built exactly
     if room is not None and (hi - lo) * math.log(
@@ -208,10 +229,8 @@ def _split(a: int, b: int, lo: int, hi: int, num=int, need_p=True, room=None) ->
         or (hi - lo) * math.log10((a * a + b * b) * (2 * hi + 1)) <= LEAF_DIGITS
     ):
         values = tuple(map(num, _split(a, b, lo, hi)))
-    elif hi - lo == 1:
-        r = a * a + b * b
-        pk = a * b if lo == 0 else 2 * lo * a * a
-        values = pk, r if lo == 0 else (2 * lo + 1) * r, pk
+    elif num is int and (hi - lo == 1 or room is None and hi - lo <= BLOCK):
+        values = _block(a, b, lo, hi)
     else:
         mid = (lo + hi) // 2
         p1, q1, t1 = _split(a, b, lo, mid, num, True, room)
@@ -221,9 +240,29 @@ def _split(a: int, b: int, lo: int, hi: int, num=int, need_p=True, room=None) ->
             # the floors inside the left child
             right -= max(0, _length(q1) - _length(p1) - 2)
         p2, q2, t2 = _split(a, b, mid, hi, num, need_p, right)
+        if room is None and num is int:
+            # T = T1*Q2 + P1*T2 and P = P1*P2 take g = gcd(P1, Q2) once each,
+            # as Q = Q1*Q2 does, so T/Q and P/Q keep their values
+            g = math.gcd(p1, q2)
+            if g > 1:
+                p1, q2 = p1 // g, q2 // g
         values = p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
     excess = 0 if room is None else _length(values[1]) - room
     return _cap(excess, values) if excess > 0 else values
+
+
+def _block(a: int, b: int, lo: int, hi: int) -> tuple:
+    """Exact int (P, Q, T) of Euler's series for arctan(a/b) over [lo, hi),
+    multiplied out term by term from the left: the integers the product
+    tree builds for the same range without a gcd."""
+    a2, r = a * a, a * a + b * b
+    p, q, t = (a * b, r, a * b) if lo == 0 else (1, 1, 0)
+    for k in range(max(lo, 1), hi):
+        pk, qk = 2 * k * a2, (2 * k + 1) * r
+        t = t * qk + p * pk
+        p *= pk
+        q *= qk
+    return p, q, t
 
 
 def _term_estimate(p: int, q: int, decimals: int) -> float:

@@ -156,7 +156,8 @@ class Surd:
         if isinstance(other, Surd):
             if other.d != self.d:
                 raise IncompatibleFieldError(
-                    f"cannot mix sqrt({self.d}) with sqrt({other.d})"
+                    f"cannot mix sqrt({_int_text(self.d)}) with "
+                    f"sqrt({_int_text(other.d)})"
                 )
             return other
         if isinstance(other, (int, Fraction)):
@@ -385,7 +386,7 @@ def value_sqrt(x: Value) -> Value:
                         if value_sign(root) >= 0:
                             return root
         raise UnsupportedRadicalError(
-            f"sqrt of {x} does not lie in Q(sqrt({x.d}))"
+            f"sqrt of {format_value(x)} does not lie in Q(sqrt({_int_text(x.d)}))"
         )
     q = Fraction(x)
     # p/q in lowest terms: sqrt(sp^2*cp / (sq^2*cq)) = sp/(sq*cq) * sqrt(cp*cq),

@@ -164,6 +164,60 @@ def test_split_equals_naive_partial_sum(monkeypatch):
     assert 0 < capped < 20
 
 
+def euler_leaves(a: int, b: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(P_k, Q_k) of the tree's leaves k in [lo, hi); T_k = P_k."""
+    r = a * a + b * b
+    return [
+        (a * b, r) if k == 0 else (2 * k * a * a, (2 * k + 1) * r) for k in range(lo, hi)
+    ]
+
+
+def test_exact_ranges_keep_their_ratios():
+    # leaf blocks and gcd-reduced combines leave every exact range with
+    # T/Q = N/D and P/Q = Prod_k P_k / D, where D = Prod_k Q_k and
+    # N = Sum_k Prod_{l <= k} P_l * Prod_{l > k} Q_l: on short arguments
+    # (int subtrees under Decimal) and on a 70-digit one whose Decimal
+    # ranges combine past LEAF_DIGITS
+    block = engine.BLOCK
+    for a, b in [(1, 5), (17, 31), (10**70 - 3, 10**70)]:
+        for lo in (0, 7, 3 * block):
+            for width in (1, block, block + 1, 5 * block + 3):
+                hi = lo + width
+                leaves = euler_leaves(a, b, lo, hi)
+                later = [1]  # later[j] = Prod of the last j Q_k
+                for _, qk in reversed(leaves):
+                    later.append(later[-1] * qk)
+                prod, total = 1, 0
+                for k, (pk, _) in enumerate(leaves):
+                    prod *= pk
+                    total += prod * later[width - 1 - k]
+                den = later[width]
+                for num in (int, Decimal):
+                    with decimal.localcontext(engine.EXACT):
+                        p, q, t = engine._split(a, b, lo, hi, num)
+                    assert all(isinstance(x, num) for x in (p, q, t))
+                    p, q, t = int(p), int(q), int(t)
+                    assert t * den == total * q, (a, b, lo, hi, num)
+                    assert p * den == prod * q, (a, b, lo, hi, num)
+                # on ints, past one block, the reduced combines give a Q
+                # below the product of the leaves' Q_k
+                q = engine._split(a, b, lo, hi)[1]
+                assert q < den if width > block else q == den, (a, b, lo, hi)
+
+
+def test_single_term_range_is_floored_to_its_room():
+    # a one-term range over its room is built whole and floored to one unit
+    # (a bit on ints, a digit on Decimal), not split again
+    for a, b, k in [(1, 5, 0), (1, 5, 40), (17, 31, 3), (10**70 - 3, 10**70, 9)]:
+        exact = engine._split(a, b, k, k + 1)
+        for num in (int, Decimal):
+            with decimal.localcontext(engine.EXACT):
+                p, q, t = engine._split(a, b, k, k + 1, num, True, 1)
+            assert isinstance(q, num) and engine._length(q) == 1, (a, b, k, num)
+            shift = engine._length(num(exact[1])) - 1
+            assert (p, q, t) == engine._cap(shift, tuple(map(num, exact)))
+
+
 def test_capped_tree_within_a_unit_on_both_types(monkeypatch):
     # 70-digit arguments near +-1 and bit-burst chunks a/10**m: the capped
     # tree stays within one unit of the exact floor of the partial sum on

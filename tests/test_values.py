@@ -175,11 +175,28 @@ def test_demotion_to_fraction():
     assert isinstance(x - x, Fraction)
 
 
+def primorial_radicand() -> int:
+    """The product of the primes up to 10243: squarefree, certified by trial
+    division, and about 4400 digits, past the 4300-digit str() limit."""
+    sieve = bytearray([1]) * 10244
+    sieve[:2] = b"\0\0"
+    for n in range(2, 102):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(sieve[n * n :: n]))
+    return math.prod(n for n, prime in enumerate(sieve) if prime)
+
+
 def test_incompatible_fields_rejected():
     with pytest.raises(IncompatibleFieldError):
         Surd(0, 1, 2) + Surd(0, 1, 3)
     with pytest.raises(IncompatibleFieldError):
         Surd(0, 1, 2) * Surd(0, 1, 5)
+    # radicands past the str() limit still give the typed error, with their
+    # full decimal text in the message
+    d = primorial_radicand()
+    assert len(_int_text(d)) > 4300
+    with pytest.raises(IncompatibleFieldError, match=_int_text(d // 2)[-20:]):
+        Surd(0, 1, d) + Surd(0, 1, d // 2)
 
 
 def test_sign_is_exact():
@@ -231,6 +248,9 @@ def test_value_sqrt_surd():
     assert value_sign(root) >= 0
     with pytest.raises(UnsupportedRadicalError):
         value_sqrt(Surd(1, 1, 2))  # sqrt(1 + sqrt(2)) leaves the field
+    d = primorial_radicand()
+    with pytest.raises(UnsupportedRadicalError, match=_int_text(d)[-20:]):
+        value_sqrt(Surd(1, 1, d))
 
 
 def test_value_sqrt_squares_roundtrip():
