@@ -69,16 +69,19 @@ proof below is unchanged.
 Number type.  The tree is the same for ints and for the C `decimal`
 module, whose products use a number-theoretic transform and whose integer
 division uses Newton iteration, where CPython's ints use Karatsuba and a
-quadratic `//`.  A run whose largest capped root, the estimated root of
-its biggest tree held to S, exceeds DECIMAL_DIGITS digits runs its trees
-on Decimal; smaller runs stay on ints.  The chunks reach the series as
-ints with the run's number type.  Decimal trees build subtrees of up to
-LEAF_DIGITS digits in ints and convert them whole.  Only a long argument
-or a surd converts a big int: the leaves of a late bit-burst chunk and
-the remainder's floor.  All Decimal work runs in EXACT: unbounded
-precision and exponent with Inexact, Rounded and InvalidOperation
-trapped, so any rounding raises instead of passing silently; every floor
-of the cap is an explicit ROUND_FLOOR.
+quadratic `//`.  A run at S above DECIMAL_DIGITS runs its trees on
+Decimal; smaller runs stay on ints.  S stands for the run's largest
+capped root: the tree of a chunk a/b has over S + 10 - log10(b/|a|)
+digits uncapped, N*log10(r), so any chunk with b/|a| <= 10^10, such as
+the first chunk of an argument |t| >= 1/100, has a root of S to B digits,
+B the room of the cap.  The chunks reach the series as ints with the
+run's number type.  Decimal trees build subtrees of up to LEAF_DIGITS
+digits in ints and convert them whole.  Only a long argument or a surd
+converts a big int: the leaves of a late bit-burst chunk and the
+remainder's floor.  All Decimal work runs in EXACT: unbounded precision
+and exponent with Inexact, Rounded and InvalidOperation trapped, so any
+rounding raises instead of passing silently; every floor of the cap is an
+explicit ROUND_FLOOR.
 
 Error budget.  A run works at S = D + GUARD.  Each term c*arctan(t) gets
 one value and a count u of units of 10^-S that bounds its error:
@@ -159,8 +162,8 @@ __all__ = [
 SPLIT_GUARD = 10
 # decimals past the D asked for at which a digit run takes its enclosure
 GUARD = 90
-# digits of the largest capped root of a run (the estimated root of its
-# biggest tree, at most S) above which the trees run on Decimal: measured on
+# working decimals S of a run, which its biggest tree is capped to, above
+# which the trees run on Decimal: measured on
 # Python 3.11 (2-vCPU Xeon) over Machin, Euler, machin_pair(2, 7),
 # machin_pair(5, 2) and golden_family("even", 1), on the gcd-reduced trees,
 # Decimal runs took 1.3-1.6x the int time at 10^4 to 2*10^4 digits,
@@ -195,29 +198,24 @@ def _length(x) -> int:
 
 
 def _cap(k: int, values: tuple) -> tuple:
-    """(P, Q, T) each floored by base**k: 2**k on ints, 10**k on Decimal; a
-    P of None stays None."""
-    p, q, t = values
-    if isinstance(q, int):
-        return None if p is None else p >> k, q >> k, t >> k
-    p = None if p is None else _drop_digits(p, k)
-    return p, _drop_digits(q, k), _drop_digits(t, k)
+    """(P, Q, T) each floored by base**k: 2**k on ints, 10**k on Decimal."""
+    if isinstance(values[1], int):
+        return tuple(x >> k for x in values)
+    return tuple(x.scaleb(-k).to_integral_value(ROUND_FLOOR) for x in values)
 
 
-def _split(a: int, b: int, lo: int, hi: int, num=int, need_p=True, room=None) -> tuple:
+def _split(a: int, b: int, lo: int, hi: int, num=int, room=None) -> tuple:
     """(P, Q, T) of Euler's series for arctan(a/b), a >= 0, over [lo, hi).
 
     The partial sum over the range is T/Q and the product of its term
     ratios P/Q.  The values have type `num`; a Decimal tree builds each
     range of at most LEAF_DIGITS estimated digits in ints and converts it
-    whole.  Only a left child's P is read, so the root and its right spine
-    are called without `need_p` and skip that product.  With `room`, a range
-    whose Q would exceed `room` units (bits on ints, digits on Decimal) is
-    floored by ``_cap`` to that size, and a right child's room is what its
-    left sibling's decay leaves; a range whose estimated Q fits its room is
-    built exactly.  Exact int ranges of up to BLOCK terms and single terms
-    are multiplied out by ``_block``, and larger exact int ranges divide
-    gcd(P1, Q2) out of their combine.
+    whole.  With `room`, a range whose Q would exceed `room` units (bits on
+    ints, digits on Decimal) is floored by ``_cap`` to that size, and a
+    right child's room is what its left sibling's decay leaves; a range
+    whose estimated Q fits its room is built exactly.  Exact int ranges of
+    up to BLOCK terms and single terms are multiplied out by ``_block``, and
+    larger exact int ranges divide gcd(P1, Q2) out of their combine.
     """
     # a float estimate of Q only picks the ranges built exactly
     if room is not None and (hi - lo) * math.log(
@@ -233,20 +231,18 @@ def _split(a: int, b: int, lo: int, hi: int, num=int, need_p=True, room=None) ->
         values = _block(a, b, lo, hi)
     else:
         mid = (lo + hi) // 2
-        p1, q1, t1 = _split(a, b, lo, mid, num, True, room)
-        right = room
-        if room is not None:
-            # P1/Q1 < base**(len(P1) - len(Q1) + 1); one more unit covers
-            # the floors inside the left child
-            right -= max(0, _length(q1) - _length(p1) - 2)
-        p2, q2, t2 = _split(a, b, mid, hi, num, need_p, right)
+        p1, q1, t1 = _split(a, b, lo, mid, num, room)
+        # P1/Q1 < base**(len(P1) - len(Q1) + 1); one more unit covers the
+        # floors inside the left child
+        right = None if room is None else room - max(0, _length(q1) - _length(p1) - 2)
+        p2, q2, t2 = _split(a, b, mid, hi, num, right)
         if room is None and num is int:
             # T = T1*Q2 + P1*T2 and P = P1*P2 take g = gcd(P1, Q2) once each,
             # as Q = Q1*Q2 does, so T/Q and P/Q keep their values
             g = math.gcd(p1, q2)
             if g > 1:
                 p1, q2 = p1 // g, q2 // g
-        values = p1 * p2 if need_p else None, q1 * q2, t1 * q2 + p1 * t2
+        values = p1 * p2, q1 * q2, t1 * q2 + p1 * t2
     excess = 0 if room is None else _length(values[1]) - room
     return _cap(excess, values) if excess > 0 else values
 
@@ -263,13 +259,6 @@ def _block(a: int, b: int, lo: int, hi: int) -> tuple:
         p *= pk
         q *= qk
     return p, q, t
-
-
-def _term_estimate(p: int, q: int, decimals: int) -> float:
-    """X such that the least N of the tail test 10**decimals*|p|**(2N+1) <
-    q*r**N, r = p*p + q*q, is floor(X) + 1, up to float rounding."""
-    lp, lq = math.log10(abs(p)), math.log10(q)
-    return (decimals + lp - lq) / (math.log10(p * p + q * q) - 2 * lp)
 
 
 def atan_series_split(p: int, q: int, digits: int, num=int):
@@ -290,11 +279,12 @@ def atan_series_split(p: int, q: int, digits: int, num=int):
     if abs(p) > q:
         raise InvalidArgumentError("the series needs |p/q| <= 1")
     a, decimals = abs(p), digits + SPLIT_GUARD
-    # the least N >= 1 with 10**decimals*|p|**(2N+1) < q*r**N, stepped up
-    # exactly from a float estimate below it
-    n = max(1, math.floor(_term_estimate(p, q, decimals)) - 1)
     a2 = a * a
     r = a2 + q * q
+    # the least N >= 1 with 10**decimals*|p|**(2N+1) < q*r**N, stepped up
+    # exactly from a float estimate below it
+    la, lq = math.log10(a), math.log10(q)
+    n = max(1, math.floor((decimals + la - lq) / (math.log10(r) - 2 * la)) - 1)
     x, y = 10**decimals * a ** (2 * n + 1), q * r**n
     while x >= y:
         n, x, y = n + 1, x * a2, y * r
@@ -303,17 +293,10 @@ def atan_series_split(p: int, q: int, digits: int, num=int):
     if num is int:
         room = room * 3322 // 1000 + 1  # 3.322 > log2(10)
     with localcontext(EXACT):
-        _, big_q, big_t = _split(a, q, 0, n, num, False, room)
+        _, big_q, big_t = _split(a, q, 0, n, num, room)
         top = big_t * 10**digits if num is int else big_t.scaleb(digits)
         # a floor on ints and a truncation toward zero on Decimal
         return (top if p > 0 else -top) // big_q
-
-
-def _drop_digits(x, k: int):
-    """floor(x / 10**k) for an int or an integral Decimal, in its own type."""
-    if isinstance(x, int):
-        return x // 10**k
-    return x.scaleb(-k).to_integral_value(ROUND_FLOOR)
 
 
 def _enclosure_text(values, rprime: Fraction, digits: int) -> tuple[str, bool]:
@@ -325,12 +308,12 @@ def _enclosure_text(values, rprime: Fraction, digits: int) -> tuple[str, bool]:
     acc = sum(c * f for c, f, _ in values)
     # |acc - rprime*pi*10**S| < spread at S = digits + GUARD, so
     # lo < pi*10**S < hi + 1; the sign goes to the numerator, so on either
-    # type both divisions are floors of positive numbers
+    # type every division here is a floor of a positive number
     spread = sum(abs(c) * units for c, _, units in values)
     sign = 1 if rprime > 0 else -1
     den, rnum = rprime.denominator, abs(rprime.numerator)
     lo, hi = ((sign * acc + e) * den // rnum for e in (-spread, spread))
-    truncated, top = _drop_digits(lo, GUARD), _drop_digits(hi + 1, GUARD)
+    truncated, top = lo // 10**GUARD, (hi + 1) // 10**GUARD
     text = _int_text(truncated) if isinstance(truncated, int) else str(truncated)
     if len(text) != digits + 1 or text[0] != "3":
         raise InconsistentInputError(
@@ -364,14 +347,8 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
         raise DegenerateIdentityError(
             "pi cancels out after half-turn elimination"
         )
-    # one number type for the whole run, so the values sum in one type; it
-    # follows the largest root a tree reaches, which the cap holds near S
-    size = 0.0
-    for _, chunks, _, _ in work:
-        for a, b in chunks:
-            n = max(1.0, _term_estimate(a, b, scale))
-            size = max(size, n * (math.log10(a * a + b * b) + math.log10(2 * n + 1)))
-    num = Decimal if min(size, scale) > DECIMAL_DIGITS else int
+    # one number type for the whole run, so the values sum in one type
+    num = Decimal if scale > DECIMAL_DIGITS else int
     with localcontext(EXACT):
         values = []
         for c, chunks, (p, q), slack in work:

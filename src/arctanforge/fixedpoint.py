@@ -153,7 +153,7 @@ class FixedPointContext:
 
     def atan(self, x: Value) -> Interval:
         """An interval containing arctan(x)*S."""
-        angle = NormalAngle(as_value(x), 0).canonical()
+        angle = NormalAngle(as_value(x, "x"), 0).canonical()
         t, quarters, scale = angle.t, 2 * angle.h, self.scale
         p, q, slack = _pair(t, scale)
         if 2 * abs(p) > q:

@@ -60,7 +60,7 @@ class ArctanTerm:
         check_int(self.coeff, "coeff")
         if self.coeff == 0:
             raise InvalidArgumentError("zero coefficient")
-        object.__setattr__(self, "arg", as_value(self.arg))
+        object.__setattr__(self, "arg", as_value(self.arg, "arg"))
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,8 @@ class Identity:
     def __post_init__(self):
         if not self.terms:
             raise InvalidArgumentError("an identity needs at least one term")
-        if isinstance(self.rhs, Surd):
-            raise InvalidArgumentError("rhs must be a rational multiple of pi")
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "rhs", as_value(self.rhs, "rhs", surd=False))
 
     def fold(self) -> NormalAngle:
         return fold_terms((t.coeff, t.arg) for t in self.terms)
@@ -102,7 +100,7 @@ def _reject_unit(x: Value, who: str) -> None:
 def machin_pair(n: int, x) -> Identity:
     """n*A(1/x) + A((u_n - v_n)/(u_n + v_n)) with fold-computed rhs."""
     check_int(n, "n", 1)
-    x = as_value(x)
+    x = as_value(x, "x")
     _reject_unit(x, "x")
     if value_sign(x) == 0:
         raise DegenerateArgumentError("x = 0 has no reciprocal argument")
@@ -187,7 +185,7 @@ def golden_family(kind: str, k: int) -> Identity:
 def half_turn(x) -> tuple[Identity, Identity]:
     """The pair 2*A(-x + r) + A(x) = pi/2 and 2*A(-x - r) + A(x) = -pi/2
     with r = sqrt(1 + x^2); requires the root to exist as a Value."""
-    x = as_value(x)
+    x = as_value(x, "x")
     r = value_sqrt(1 + x * x)
     out = []
     try:
@@ -204,7 +202,7 @@ def half_turn(x) -> tuple[Identity, Identity]:
 def diff_identity(f) -> Identity:
     """A(f) - A(g) for g = (f - 1)/(f + 1): pi/4 when f > -1, -3*pi/4 when
     f < -1 (the fold decides, consistent with limits at the pole)."""
-    f = as_value(f)
+    f = as_value(f, "f")
     if value_sign(f + 1) == 0:
         raise DegenerateArgumentError("g is undefined at f = -1")
     g = (f - 1) / (f + 1)

@@ -54,12 +54,13 @@ __all__ = [
 
 def odot(x, y) -> Value:
     """Exact (x + y) / (1 - x*y); raises RightAngleError when x*y = 1."""
-    return _tangent(NormalAngle(as_value(x), 0) + NormalAngle(as_value(y), 0))
+    x, y = as_value(x, "x"), as_value(y, "y")
+    return _tangent(NormalAngle(x, 0) + NormalAngle(y, 0))
 
 
 def odot_pow_reciprocal(x, n: int) -> Value:
     """(1/x) composed with itself n times: v_n(x) / u_n(x)."""
-    x = as_value(x)
+    x = as_value(x, "x")
     _check_pow_args(x, n)
     if value_sign(x) == 0:  # arctan(1/0) is the right angle
         return _tangent(n * NormalAngle(Fraction(0), 1))
@@ -72,7 +73,7 @@ def odot_pow(x, n: int) -> Value:
     Equals u_n(x)/v_n(x) for odd n and -v_n(x)/u_n(x) for even n, and agrees
     with the iterated product whenever no intermediate right angle occurs.
     """
-    x = as_value(x)
+    x = as_value(x, "x")
     _check_pow_args(x, n)
     return _tangent(n * NormalAngle(x, 0))
 
@@ -211,7 +212,7 @@ def fold_terms(terms: Iterable[tuple[int, Value]]) -> NormalAngle:
     folding is total."""
     state = ZERO_ANGLE
     for coeff, arg in terms:
-        state = state + coeff * NormalAngle(as_value(arg), 0)
+        state = state + coeff * NormalAngle(as_value(arg, "arg"), 0)
     return state
 
 
@@ -232,7 +233,7 @@ class OdotPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, z) -> Value:
-        z = as_value(z)
+        z = as_value(z, "z")
         acc: Value = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * z + c
@@ -265,7 +266,7 @@ class OdotPolynomial:
 def root_poly(n: int, x) -> OdotPolynomial:
     """Polynomial in z with z^(*n) = x: x*u_n(z) + v_n(z) for even n,
     x*v_n(z) - u_n(z) for odd n, from the binomial coefficients of (z + i)^n."""
-    x = as_value(x)
+    x = as_value(x, "x")
     _check_pow_args(x, n)
     u, v = uv_coefficients(n)
     if n % 2 == 0:

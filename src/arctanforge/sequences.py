@@ -44,7 +44,7 @@ def uv_pair(n: int, x) -> UVPair:
     set bit of n, so O(log n) complex multiplications.
     """
     check_int(n, "n", 0)
-    x = as_value(x)
+    x = as_value(x, "x")
     u, v = Fraction(1), Fraction(0)
     for bit in bin(n)[2:]:
         u, v = u * u - v * v, 2 * u * v
@@ -65,11 +65,15 @@ def uv_coefficients(n: int) -> tuple[list[int], list[int]]:
 
 
 def _lucas_fibonacci(m: int) -> tuple[int, int]:
-    # (L_m, F_m) from phi^(j+1) = phi^j * phi with phi^j = (L_j + F_j*sqrt(5))/2
+    # (L_m, F_m) with phi^j = (L_j + F_j*sqrt(5))/2, powered by squaring as
+    # in uv_pair: phi^(2j) gives (L^2 + 5F^2)/2 and L*F, phi^(j+1) gives
+    # (L + 5F)/2 and (L + F)/2
     check_int(m, "m", 0)
     L, F = 2, 0
-    for _ in range(m):
-        L, F = (L + 5 * F) // 2, (L + F) // 2
+    for bit in bin(m)[2:]:
+        L, F = (L * L + 5 * F * F) // 2, L * F
+        if bit == "1":
+            L, F = (L + 5 * F) // 2, (L + F) // 2
     return L, F
 
 

@@ -23,8 +23,10 @@ from typing import Union
 
 from .errors import (
     IncompatibleFieldError,
+    InvalidArgumentError,
     InvalidRadicandError,
     UnsupportedRadicalError,
+    check_int,
 )
 
 __all__ = [
@@ -138,8 +140,9 @@ class Surd:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", as_value(self.a, "a", surd=False))
+        object.__setattr__(self, "b", as_value(self.b, "b", surd=False))
+        check_int(self.d, "d")
         if self.d < 2:
             raise InvalidRadicandError(f"radicand must be >= 2, got {_int_text(self.d)}")
         _, core = _squarefree_decompose(self.d)
@@ -235,9 +238,12 @@ class Surd:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
+        # left-to-right binary powering: square, then multiply on a set bit
         result: Value = Fraction(1)
-        for _ in range(n):
-            result = result * self
+        for bit in bin(n)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def conjugate(self) -> "Surd":
@@ -318,28 +324,36 @@ def format_value(v: Value) -> str:
     """Canonical text of a Value: ``p/q`` (``p`` when whole) or ``surd(a,b,d)``."""
     if isinstance(v, Surd):
         return f"surd({format_value(v.a)},{format_value(v.b)},{_int_text(v.d)})"
-    v = Fraction(v)
+    v = as_value(v, "v", surd=False)
     text = _int_text(v.numerator)
     return text if v.denominator == 1 else f"{text}/{_int_text(v.denominator)}"
 
 
-def as_value(x) -> Value:
-    """Coerce ints and Fractions to a Value; reject inexact types."""
-    if isinstance(x, Surd):
+def as_value(x, name: str = "value", surd: bool = True) -> Value:
+    """The exact value x as a Fraction, or as itself if it is a Surd and
+    `surd` allows one: the one gate for user values.
+
+    Only an int (not a bool), a Fraction or a Surd is exact.  Anything else,
+    a float or a Decimal too, raises InvalidArgumentError naming the
+    argument and never its value.
+    """
+    if isinstance(x, Fraction) or surd and isinstance(x, Surd):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise TypeError(f"not an exact value: {x!r}")
+    kinds = "an int, a Fraction or a Surd" if surd else "an int or a Fraction"
+    raise InvalidArgumentError(f"{name} must be {kinds}")
 
 
 def surd_normalize(a, b, d: int) -> Value:
     """Canonicalize a + b*sqrt(d): extract square factors of d, demote if rational.
 
-    d must be a positive integer; a and b rational.
+    d must be a positive int; a and b rational.
     """
-    if not isinstance(d, int) or d <= 0:
+    a, b = as_value(a, "a", surd=False), as_value(b, "b", surd=False)
+    check_int(d, "d")
+    if d <= 0:
         raise InvalidRadicandError("radicand must be a positive integer")
-    a, b = Fraction(a), Fraction(b)
     s, core = _squarefree_decompose(d)
     return _make(a, b * s, core)
 
@@ -348,7 +362,7 @@ def value_sign(x: Value) -> int:
     """Exact sign in {-1, 0, +1}, decided without floating point."""
     if isinstance(x, Surd):
         return x.sign()
-    return _fraction_sign(Fraction(x))
+    return _fraction_sign(as_value(x, "x"))
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -368,6 +382,7 @@ def value_sqrt(x: Value) -> Value:
     surd x the root must live in the same field Q(sqrt(d)); otherwise
     UnsupportedRadicalError is raised.
     """
+    x = as_value(x, "x")
     if value_sign(x) < 0:
         raise UnsupportedRadicalError("negative radicand")
     if isinstance(x, Surd):
@@ -388,9 +403,8 @@ def value_sqrt(x: Value) -> Value:
         raise UnsupportedRadicalError(
             f"sqrt of {format_value(x)} does not lie in Q(sqrt({_int_text(x.d)}))"
         )
-    q = Fraction(x)
     # p/q in lowest terms: sqrt(sp^2*cp / (sq^2*cq)) = sp/(sq*cq) * sqrt(cp*cq),
     # and cp*cq is squarefree because p and q are coprime
-    sp, cp = _squarefree_decompose(q.numerator)
-    sq, cq = _squarefree_decompose(q.denominator)
+    sp, cp = _squarefree_decompose(x.numerator)
+    sq, cq = _squarefree_decompose(x.denominator)
     return _make(Fraction(0), Fraction(sp, sq * cq), cp * cq)

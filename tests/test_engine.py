@@ -212,7 +212,7 @@ def test_single_term_range_is_floored_to_its_room():
         exact = engine._split(a, b, k, k + 1)
         for num in (int, Decimal):
             with decimal.localcontext(engine.EXACT):
-                p, q, t = engine._split(a, b, k, k + 1, num, True, 1)
+                p, q, t = engine._split(a, b, k, k + 1, num, 1)
             assert isinstance(q, num) and engine._length(q) == 1, (a, b, k, num)
             shift = engine._length(num(exact[1])) - 1
             assert (p, q, t) == engine._cap(shift, tuple(map(num, exact)))
@@ -524,3 +524,23 @@ def test_lehmer_measure_big_integers():
     # huge exact arguments must not overflow the log
     big = ident([(1, Fraction(1, 10**400))], Fraction(1))
     assert lehmer_measure(big) == pytest.approx(1 / 400, abs=1e-15)
+
+
+def test_number_type_follows_the_working_decimals(monkeypatch):
+    # a run at S = D + GUARD above DECIMAL_DIGITS sums every chunk on
+    # Decimal, and a run at or below it on ints, whatever its trees
+    monkeypatch.setattr(engine, "DECIMAL_DIGITS", 400)
+    kinds = []
+
+    def typed(p, q, digits, num):
+        kinds.append(num)
+        return atan_series_split(p, q, digits, num)
+
+    monkeypatch.setattr(engine, "atan_series_split", typed)
+    truth = reference_decimals(320)
+    for identity in (MACHIN, golden_family("even", 1), machin_pair(200, Fraction(3))):
+        for digits, kind in ((300, int), (320, Decimal)):
+            kinds.clear()
+            r = pi_digits(identity, digits)
+            assert r.digits == truth[: digits + 2] and not r.unrounded, identity
+            assert kinds and all(num is kind for num in kinds), (identity, digits)

@@ -1,6 +1,7 @@
 """Second-order recurrences: u/v pairs, Lucas, Fibonacci, golden powers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,3 +132,12 @@ def test_phi_power_minimal_polynomial():
         assert (h, k) == (lucas(m), (-1) ** m)
         a = phi_power(m)
         assert value_sign(a * a - h * a + k) == 0
+
+
+def test_lucas_fibonacci_by_squaring():
+    start = time.perf_counter()
+    big = lucas(200_000)
+    assert time.perf_counter() - start < 1.0
+    assert big * big - 5 * fibonacci(200_000) ** 2 == 4
+    for m in (1023, 1024, 4097):
+        assert lucas(m) ** 2 - 5 * fibonacci(m) ** 2 == 4 * (-1) ** m

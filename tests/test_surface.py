@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,12 +15,20 @@ import pytest
 
 import arctanforge
 from arctanforge import (
+    ArctanTerm,
+    Identity,
     InvalidArgumentError,
+    Surd,
+    diff_identity,
     fibonacci,
+    fold_terms,
+    format_value,
     golden_family,
+    half_turn,
     lucas,
     machin_pair,
     min_poly_phi_power,
+    odot,
     odot_pow,
     odot_pow_reciprocal,
     parse_identity,
@@ -27,7 +36,10 @@ from arctanforge import (
     pi_digits,
     quad_reduce,
     root_poly,
+    surd_normalize,
     uv_pair,
+    value_sign,
+    value_sqrt,
     verify_numeric,
     winding_correction,
 )
@@ -112,6 +124,60 @@ def test_integer_entry_points_are_in_the_table():
     # a new public function with an integer parameter must join INT_ARGS
     names = {"n", "k", "m", "h", "kq", "digits"}
     covered = {(fn, param) for fn, param, *_ in INT_ARGS}
+    for name in arctanforge.__all__:
+        fn = getattr(arctanforge, name)
+        if inspect.isfunction(fn):
+            for param in names & set(inspect.signature(fn).parameters):
+                assert (fn, param) in covered, (name, param)
+
+
+# (function, value parameter, a valid value, a valid Surd or None where no
+# Surd is allowed, call): every entry point that takes an exact value checks
+# it with one gate
+VALUE_ARGS = [
+    (machin_pair, "x", Fraction(5), PHI, lambda v: machin_pair(2, v)),
+    (winding_correction, "x", 5, PHI, lambda v: winding_correction(2, v)),
+    (half_turn, "x", Fraction(3, 4), Surd(0, Fraction(1, 4), 2), half_turn),
+    (diff_identity, "f", Fraction(2, 7), PHI, diff_identity),
+    (odot, "x", Fraction(1, 2), PHI, lambda v: odot(v, Fraction(1, 3))),
+    (odot, "y", 3, PHI, lambda v: odot(Fraction(1, 2), v)),
+    (odot_pow, "x", Fraction(1, 2), PHI, lambda v: odot_pow(v, 3)),
+    (odot_pow_reciprocal, "x", 2, PHI, lambda v: odot_pow_reciprocal(v, 3)),
+    (root_poly, "x", Fraction(2), PHI, lambda v: root_poly(2, v)),
+    (root_poly, "z", 3, PHI, lambda v: root_poly(2, Fraction(2)).evaluate(v)),
+    (uv_pair, "x", Fraction(3), PHI, lambda v: uv_pair(3, v)),
+    (fold_terms, "arg", Fraction(1, 5), PHI, lambda v: fold_terms([(4, v)])),
+    (value_sign, "x", Fraction(-1, 2), PHI, value_sign),
+    (value_sqrt, "x", 2, PHI * PHI, value_sqrt),
+    (format_value, "v", Fraction(1, 3), PHI, format_value),
+    (FixedPointContext, "x", Fraction(1, 5), PHI, lambda v: FixedPointContext(50).atan(v)),
+    (ArctanTerm, "arg", Fraction(1, 5), PHI, lambda v: ArctanTerm(1, v)),
+    (Identity, "rhs", Fraction(1, 4), None, lambda v: Identity(EULER.terms, v)),
+    (Surd, "a", 1, None, lambda v: Surd(v, 1, 2)),
+    (Surd, "b", Fraction(1, 2), None, lambda v: Surd(1, v, 2)),
+    (surd_normalize, "a", 1, None, lambda v: surd_normalize(v, 1, 2)),
+    (surd_normalize, "b", Fraction(1, 2), None, lambda v: surd_normalize(1, v, 2)),
+]
+
+
+def test_exact_values_are_checked():
+    for fn, param, good, surd, call in VALUE_ARGS:
+        call(good)
+        bad = [0.5, 3.0, True, "1/2", Decimal("0.5"), None, 1j]
+        if surd is None:
+            bad.append(PHI)
+        else:
+            call(surd)
+        for value in bad:
+            # the message names the argument, never the value
+            with pytest.raises(InvalidArgumentError, match=f"^{param} must be an int"):
+                call(value)
+
+
+def test_value_entry_points_are_in_the_table():
+    # a new public function with an exact-value parameter must join VALUE_ARGS
+    names = {"x", "y", "f", "v", "z", "a", "b"}
+    covered = {(fn, param) for fn, param, *_ in VALUE_ARGS}
     for name in arctanforge.__all__:
         fn = getattr(arctanforge, name)
         if inspect.isfunction(fn):

@@ -3,12 +3,14 @@
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from arctanforge import (
     IncompatibleFieldError,
+    InvalidArgumentError,
     InvalidRadicandError,
     Surd,
     UnsupportedRadicalError,
@@ -54,6 +56,14 @@ def test_surd_constructor_validates():
     ):
         with pytest.raises(InvalidRadicandError):
             make()
+
+
+def test_radicand_must_be_an_int():
+    for make in (lambda d: Surd(1, 1, d), lambda d: surd_normalize(1, 1, d)):
+        make(2)
+        for d in (2.5, 2.0, True, "2", None, Decimal(2)):
+            with pytest.raises(InvalidArgumentError, match="^d must be an int"):
+                make(d)
 
 
 def test_surd_normalize_extracts_squares():
@@ -120,8 +130,22 @@ def test_as_value_coercions():
     assert isinstance(as_value(Fraction(1, 2)), Fraction)
     s = Surd(1, 1, 2)
     assert as_value(s) is s
-    with pytest.raises(TypeError):
+    with pytest.raises(InvalidArgumentError):
         as_value(0.5)
+
+
+def test_surd_powers_by_squaring():
+    rng = random.Random(131)
+    for _ in range(40):
+        x = rnd_surd(rng, rng.choice((2, 3, 5, 7)))
+        n = rng.randint(1, 300)
+        assert x**n == x ** (n - 1) * x, (x, n)
+        assert x ** (-n) * x**n == 1
+    assert Surd(1, 1, 2) ** 0 == 1
+    assert Surd(0, 1, 2) ** 2 == 2  # a rational power
+    start = time.perf_counter()
+    Surd(1, 1, 2) ** 16000
+    assert time.perf_counter() - start < 0.1
 
 
 def test_field_arithmetic_random():
