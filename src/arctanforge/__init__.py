@@ -28,7 +28,6 @@ from .errors import (
     RationalOnlyError,
     RightAngleError,
     UnsupportedRadicalError,
-    UnsupportedRhsError,
 )
 from .generator import (
     ArctanTerm,
@@ -97,7 +96,6 @@ __all__ = [
     "RightAngleError",
     "Surd",
     "UnsupportedRadicalError",
-    "UnsupportedRhsError",
     "Value",
     "Verdict",
     "diff_identity",

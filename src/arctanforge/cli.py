@@ -5,13 +5,15 @@ lines, rootpoly prints composition-root polynomials, verify checks a file
 of identities, digits runs the pi engine, measure scores formulas.  Every
 subcommand takes --json.  Numeric options are read with the identity
 grammar of `textio`.  Exit status: 0 success, 1 verification failure,
-2 usage or input error.
+2 usage or input error, or a closed standard output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -283,10 +285,17 @@ def run(argv: list[str] | None = None) -> int:
     except (ArctanForgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload, indent=2, default=_jsonable))
-    else:
-        print("\n".join(lines))
+    text = json.dumps(payload, indent=2, default=_jsonable) if args.json else "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (`| head`): as the SIGPIPE note in the Python
+        # docs does, point stdout at the null device so that the flush at
+        # exit cannot fail again; an in-memory stdout has no descriptor
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 2
     return code
 
 

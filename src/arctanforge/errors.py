@@ -45,10 +45,6 @@ class InconsistentInputError(ArctanForgeError):
     """Inputs contradict each other (e.g. alpha is not a root of the given polynomial)."""
 
 
-class UnsupportedRhsError(ArctanForgeError):
-    """The right-hand side multiple of pi has no exactly representable tangent."""
-
-
 class RationalOnlyError(ArctanForgeError):
     """The Lehmer measure accepts rational arctangent arguments only."""
 

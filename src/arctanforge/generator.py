@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedRadicalError,
     check_int,
 )
-from .odot import NormalAngle, fold_terms
+from .odot import NormalAngle, _check_pow_args, fold_terms
 from .sequences import lucas, min_poly_phi_power, phi_power, uv_pair
 from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
 
@@ -92,16 +92,10 @@ def _rhs_from_fold(terms) -> Fraction:
     return r
 
 
-def _reject_unit(x: Value, who: str) -> None:
-    if isinstance(x, Fraction) and abs(x) == 1:
-        raise DegenerateArgumentError(f"{who} = +-1 is excluded")
-
-
 def machin_pair(n: int, x) -> Identity:
     """n*A(1/x) + A((u_n - v_n)/(u_n + v_n)) with fold-computed rhs."""
-    check_int(n, "n", 1)
     x = as_value(x, "x")
-    _reject_unit(x, "x")
+    _check_pow_args(x, n)
     if value_sign(x) == 0:
         raise DegenerateArgumentError("x = 0 has no reciprocal argument")
     pair = uv_pair(n, x)

@@ -35,7 +35,6 @@ from .errors import (
     DegenerateArgumentError,
     RightAngleError,
     UnsupportedRadicalError,
-    UnsupportedRhsError,
     check_int,
 )
 from .sequences import uv_coefficients
@@ -93,19 +92,21 @@ def _check_pow_args(x: Value, n: int) -> None:
         raise DegenerateArgumentError("x = +-1 is excluded")
 
 
-# Exact tangents of r*pi for r in (-1/4, 1/4]; everything else that the
-# package can express reduces to these after extracting half-turns.
-_TAN_TABLE: dict[Fraction, Value] = {
+# r in (-1/4, 1/4] keyed by tan(r*pi), for every such r whose tangent is
+# rational or quadratic: tan(r*pi) leaves every quadratic field unless the
+# denominator of r divides 8 or 12 (Niven, Irrational Numbers, 1956, for the
+# rational case), so together with the half-turns these are all the rational
+# multiples of pi that a fold over Q or one Q(sqrt(d)) can reach.
+_PI_MULTIPLES: dict[Value, Fraction] = {
     Fraction(0): Fraction(0),
-    Fraction(1, 4): Fraction(1),
-    Fraction(1, 6): Surd(0, Fraction(1, 3), 3),
-    Fraction(-1, 6): Surd(0, Fraction(-1, 3), 3),
-    Fraction(1, 8): Surd(-1, 1, 2),
-    Fraction(-1, 8): Surd(1, -1, 2),
-    Fraction(1, 12): Surd(2, -1, 3),
-    Fraction(-1, 12): Surd(-2, 1, 3),
+    Fraction(1): Fraction(1, 4),
+    Surd(0, Fraction(1, 3), 3): Fraction(1, 6),
+    Surd(0, Fraction(-1, 3), 3): Fraction(-1, 6),
+    Surd(-1, 1, 2): Fraction(1, 8),
+    Surd(1, -1, 2): Fraction(-1, 8),
+    Surd(2, -1, 3): Fraction(1, 12),
+    Surd(-2, 1, 3): Fraction(-1, 12),
 }
-_TAN_LOOKUP = {t: r for r, t in _TAN_TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,10 @@ class NormalAngle:
 
     t: Value
     h: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", as_value(self.t, "t"))
+        check_int(self.h, "h")
 
     def canonical(self) -> "NormalAngle":
         t, h = self.t, self.h
@@ -139,28 +144,10 @@ class NormalAngle:
     def to_pi_multiple(self) -> Fraction | None:
         """r with angle = r*pi, when the angle is such a rational multiple."""
         c = self.canonical()
-        frac = _TAN_LOOKUP.get(c.t)
+        frac = _PI_MULTIPLES.get(c.t)
         if frac is None:
             return None
         return frac + Fraction(c.h, 2)
-
-    @classmethod
-    def from_pi_multiple(cls, r) -> "NormalAngle":
-        """Canonical NormalAngle of the angle r*pi.
-
-        Supports every r whose tangent lies in a single quadratic field,
-        i.e. denominators dividing 4, 6, 8 or 12.
-        """
-        r = Fraction(r)
-        # split r*pi = frac*pi + h*(pi/2) with frac in (-1/4, 1/4]
-        h = -((1 - 4 * r) // 2)  # ceil(2r - 1/2) done in integer arithmetic
-        frac = r - Fraction(h, 2)
-        t = _TAN_TABLE.get(frac)
-        if t is None:
-            raise UnsupportedRhsError(
-                f"tan({format_value(r)}*pi) is not representable in a quadratic field"
-            )
-        return cls(t, int(h))
 
     def __add__(self, other: "NormalAngle") -> "NormalAngle":
         if not isinstance(other, NormalAngle):
@@ -212,6 +199,7 @@ def fold_terms(terms: Iterable[tuple[int, Value]]) -> NormalAngle:
     folding is total."""
     state = ZERO_ANGLE
     for coeff, arg in terms:
+        check_int(coeff, "coeff")
         state = state + coeff * NormalAngle(as_value(arg, "arg"), 0)
     return state
 

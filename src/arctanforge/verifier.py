@@ -1,12 +1,13 @@
 """Exact and numeric verdicts for arctangent identities.
 
-The exact path folds the left side into a NormalAngle and compares it with
-the angle named by the right side; it is authoritative.  The numeric path
+The exact path folds the left side into a NormalAngle, reads off the
+multiple of pi that angle is, if any, and compares it with the right side;
+it is authoritative.  The numeric path
 encloses each arctangent between two integers at scale 10**wp
 (``FixedPointContext.atan``), sums c*arctan and -rhs*pi with integer floors
-and ceilings, and checks the residual against a digit budget; it exists to
-catch bugs in the exact path and to handle right sides off the quarter-pi
-lattice, and it reports ``indeterminate`` instead of guessing when the
+and ceilings, and checks the residual against a digit budget.  It
+cross-checks the exact fold and refutes lines whose coefficients are too
+large to fold, and it reports ``indeterminate`` instead of guessing when the
 residual falls in the gray zone between clearly-zero and clearly-nonzero.
 
 The numeric path is the interval route alone: it never folds the identity
@@ -42,14 +43,15 @@ class Verdict:
 
 
 def verify_exact(identity: Identity) -> Verdict:
-    """Fold the left side; holds iff it names the same angle as rhs*pi.
+    """Fold the left side; holds iff the fold is the angle rhs*pi.
 
-    Raises UnsupportedRhsError when tan(rhs*pi) leaves the supported
-    quadratic fields (rhs denominators other than 1, 2, 3, 4, 6, 8, 12).
+    Every right side gets a verdict.  A fold over Q or one Q(sqrt(d)) names a
+    rational multiple of pi only on the lattice whose denominators divide 8
+    or 12, since no other rational multiple of pi has a rational or
+    quadratic tangent (Niven), so a right side off that lattice fails.
     """
     actual = identity.fold()
-    target = NormalAngle.from_pi_multiple(identity.rhs)
-    return Verdict(actual.same_angle(target), actual, identity.rhs)
+    return Verdict(actual.to_pi_multiple() == identity.rhs, actual, identity.rhs)
 
 
 def _sci(n: int, wp: int) -> str:

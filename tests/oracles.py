@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from arctanforge.fixedpoint import FixedPointContext, pi_interval
-from arctanforge.generator import _reject_unit
+from arctanforge.odot import _check_pow_args
 from arctanforge.sequences import UVPair, uv_coefficients
 from arctanforge.values import Value, as_value
 
@@ -69,9 +69,7 @@ def _winding_literal_at(n: int, x: Value, wp: int) -> tuple[int, Fraction] | Non
 def _winding_literal(n: int, x) -> tuple[int, Fraction]:
     # (k, T) at the first wp that classifies T, doubling wp up to a cap
     x = as_value(x)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    _reject_unit(x, "x")
+    _check_pow_args(x, n)
     wp = 40
     while wp <= 40 * 2**12:
         hit = _winding_literal_at(n, x, wp)

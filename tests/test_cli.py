@@ -3,8 +3,10 @@
 import io
 import json
 import random
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +146,11 @@ def test_rootpoly_text(capsys):
     ]
 
 
+def test_rootpoly_at_zero(capsys):
+    assert run(["rootpoly", "--n", "2", "--x", "0"]) == 0
+    assert out_lines(capsys) == ["2*z", "root: 0"]
+
+
 def test_rootpoly_large_prime_radicand_is_quick(capsys):
     # 10^24 + 7 is prime; trial division up to its square root never ends
     x = "surd(1,1,1000000000000000000000007)"
@@ -250,13 +257,16 @@ def test_verify_syntax_error_file(tmp_path, capsys):
 
 
 def test_verify_exact_unsupported_huge_rhs(tmp_path, capsys):
-    # the rhs has no quadratic tangent, and its 5000-digit numerator is
-    # past the int-str limit, so the message must format it without str()
+    # the rhs has no quadratic tangent, so the line fails, and its
+    # 5000-digit numerator is past the int-str limit, so the printed line
+    # must format it without str()
     f = tmp_path / "huge.txt"
     f.write_text(f"atan(1) = {'1' * 5000}/7*pi\n")
-    assert run(["verify", "--exact", "--file", str(f)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err[:1]
+    assert run(["verify", "--exact", "--file", str(f)]) == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert len(out) == 1 and out[0].startswith("fails:"), out[:1]
+    assert captured.err == ""
 
 
 def test_verify_missing_file(capsys):
@@ -456,3 +466,52 @@ def test_mutated_document_lines_fuzz(tmp_path, capsys):
             exact = code
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_2_without_traceback(monkeypatch, capsys):
+    # `arctanforge gen ... | head -2`: the reader leaves before the output
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert run(["gen", "--n-range", "1..3", "--x-range", "2..3"]) == 2
+    assert capsys.readouterr().err == ""
+
+
+def readme_examples():
+    """(command, expected stdout lines) for each `$ ` line of the README's
+    command-line section; a last line `...` marks a prefix."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    for example in block.strip().split("\n\n"):
+        command, *expected = example.splitlines()
+        assert command.startswith("$ "), example
+        yield command[2:], expected
+
+
+def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    seen = 0
+    for command, expected in readme_examples():
+        words = shlex.split(command, comments=True)
+        if "|" in words:  # printf '...' | arctanforge ...
+            pipe = words.index("|")
+            assert words[0] == "printf", command
+            monkeypatch.setattr("sys.stdin", io.StringIO(words[1].replace("\\n", "\n")))
+            words = words[pipe + 1 :]
+        if words[1:] == ["measure", "--file", "formulas.txt"]:
+            Path("formulas.txt").write_text(expected[0].split(None, 1)[1] + "\n")
+        assert words[0] == "arctanforge", command
+        run(words[1:])
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert captured.err == "", command
+        if expected[-1] == "...":
+            expected = expected[:-1]
+            out = out[: len(expected)]
+        assert out == expected, command
+        seen += 1
+    assert seen == 11

@@ -81,6 +81,12 @@ def test_machin_pair_errors():
         machin_pair(0, Fraction(3))
 
 
+def test_machin_pair_right_angle():
+    # u_2 + v_2 = x^2 + 2x - 1 vanishes at x = -1 - sqrt(2)
+    with pytest.raises(RightAngleError):
+        machin_pair(2, Surd(-1, -1, 2))
+
+
 def test_winding_paths_agree_sample():
     rng = random.Random(59)
     for _ in range(25):

@@ -13,7 +13,6 @@ from arctanforge import (
     RightAngleError,
     Surd,
     UnsupportedRadicalError,
-    UnsupportedRhsError,
     fold_terms,
     odot,
     odot_pow,
@@ -22,7 +21,7 @@ from arctanforge import (
     uv_pair,
     value_sign,
 )
-from arctanforge.odot import ZERO_ANGLE
+from arctanforge.odot import _PI_MULTIPLES, ZERO_ANGLE
 
 
 def rnd_fraction(rng, span=20):
@@ -101,6 +100,13 @@ def test_odot_pow_right_angle():
         odot_pow_reciprocal(Surd(0, 1, 3), 3)
 
 
+def test_odot_pow_odd_half_turn_count():
+    # 4*arctan(1/sqrt(3)) = 2*pi/3 = arctan(1/sqrt(3)) + pi/2: the tangent of
+    # an odd half-turn count is -1/t
+    assert odot_pow(Surd(0, Fraction(1, 3), 3), 4) == Surd(0, -1, 3)
+    assert odot_pow_reciprocal(Surd(0, 1, 3), 4) == Surd(0, -1, 3)
+
+
 def test_odot_pow_zero_argument():
     assert odot_pow(Fraction(0), 3) == 0
     assert odot_pow_reciprocal(Fraction(2), 1) == Fraction(1, 2)
@@ -158,20 +164,17 @@ def test_fold_matches_float():
 
 
 def test_pi_multiple_round_trip():
-    for r in [Fraction(0), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2),
-              Fraction(5, 4), Fraction(-3, 4), Fraction(2), Fraction(1, 3),
-              Fraction(-1, 6), Fraction(5, 8), Fraction(-7, 12), Fraction(13, 4)]:
-        na = NormalAngle.from_pi_multiple(r)
-        assert na.to_pi_multiple() == r
-        assert -Fraction(1) < na.t <= 1 or na.t == 1
-        assert math.isclose(float(na), float(r) * math.pi, abs_tol=1e-12)
+    # every tabulated tangent, shifted by half-turns, names its r + h/2
+    assert len(_PI_MULTIPLES) == 8
+    for t, r in _PI_MULTIPLES.items():
+        assert -Fraction(1, 4) < r <= Fraction(1, 4)
+        for h in range(-3, 4):
+            angle = NormalAngle(t, h)
+            assert angle.to_pi_multiple() == r + Fraction(h, 2)
+            assert abs(float(angle) - float(r + Fraction(h, 2)) * math.pi) < 1e-12
 
 
 def test_pi_multiple_unsupported():
-    with pytest.raises(UnsupportedRhsError):
-        NormalAngle.from_pi_multiple(Fraction(1, 5))
-    with pytest.raises(UnsupportedRhsError):
-        NormalAngle.from_pi_multiple(Fraction(3, 16))
     assert NormalAngle(Fraction(1, 2), 0).to_pi_multiple() is None
 
 
@@ -213,6 +216,13 @@ def test_root_poly_evaluate_at_root_is_zero():
     for r in poly.roots():
         assert float(poly.evaluate(r)) == 0
         assert poly.evaluate(r) == 0
+
+
+def test_root_poly_at_zero():
+    # z^(*2) = 0 at z = 0 only: 0*u_2(z) + v_2(z) = 2z
+    poly = root_poly(2, 0)
+    assert poly.coefficients == (0, 2, 0)
+    assert poly.roots() == (0,)
 
 
 def test_root_poly_degenerate():

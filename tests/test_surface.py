@@ -18,6 +18,7 @@ from arctanforge import (
     ArctanTerm,
     Identity,
     InvalidArgumentError,
+    NormalAngle,
     Surd,
     diff_identity,
     fibonacci,
@@ -106,6 +107,8 @@ INT_ARGS = [
     (fibonacci, "m", 0, 0, fibonacci),
     (phi_power, "m", 0, 0, phi_power),
     (min_poly_phi_power, "m", 1, 1, min_poly_phi_power),
+    (NormalAngle, "h", 0, None, lambda v: NormalAngle(Fraction(1, 2), v)),
+    (fold_terms, "coeff", 4, None, lambda v: fold_terms([(v, Fraction(1, 5))])),
 ]
 
 
@@ -147,6 +150,7 @@ VALUE_ARGS = [
     (root_poly, "z", 3, PHI, lambda v: root_poly(2, Fraction(2)).evaluate(v)),
     (uv_pair, "x", Fraction(3), PHI, lambda v: uv_pair(3, v)),
     (fold_terms, "arg", Fraction(1, 5), PHI, lambda v: fold_terms([(4, v)])),
+    (NormalAngle, "t", Fraction(1, 2), PHI, lambda v: NormalAngle(v, 0)),
     (value_sign, "x", Fraction(-1, 2), PHI, value_sign),
     (value_sqrt, "x", 2, PHI * PHI, value_sqrt),
     (format_value, "v", Fraction(1, 3), PHI, format_value),

@@ -14,7 +14,6 @@ from arctanforge import (
     InconsistentInputError,
     InvalidArgumentError,
     Surd,
-    UnsupportedRhsError,
     golden_family,
     machin_pair,
     parse_identity,
@@ -137,15 +136,37 @@ def test_numeric_zero_angle():
 
 
 def test_exact_unsupported_rhs():
-    with pytest.raises(UnsupportedRhsError):
-        verify_exact(ident([(1, Fraction(1, 2))], Fraction(1, 5)))
+    # tan(pi/5) is neither rational nor quadratic, so no fold names pi/5
+    v = verify_exact(ident([(1, Fraction(1, 2))], Fraction(1, 5)))
+    assert not v.holds
+    assert v.actual == NormalAngle(Fraction(1, 2), 0)
 
 
 def test_numeric_accepts_off_lattice_rhs():
-    # the numeric route exists precisely for right sides the exact fold
-    # cannot name; arctan(1/2) != pi/5, and it should say so, not raise
+    # arctan(1/2) != pi/5, and the interval route should say so, not raise
     v = verify_numeric(ident([(1, Fraction(1, 2))], Fraction(1, 5)), digits=20)
     assert not v.holds and not v.indeterminate
+
+
+def test_off_lattice_rhs_fails_on_both_routes():
+    # no rational multiple of pi off the lattice of denominators dividing 8
+    # or 12 has a rational or quadratic tangent, so no fold reaches these
+    bases = [
+        MACHIN,
+        EULER,
+        golden_family("odd", 1),
+        quad_reduce(0, -2, surd_normalize(0, 1, 2)),
+    ]
+    for r in (Fraction(1, 5), Fraction(2, 7), Fraction(1, 9), Fraction(3, 10),
+              Fraction(1, 16), Fraction(5, 24)):
+        for base in bases:
+            line = Identity(base.terms, r)
+            exact = verify_exact(line)
+            assert not exact.holds and exact.actual == base.fold(), (r, line)
+            numeric = verify_numeric(line, 50)
+            assert not numeric.holds and not numeric.indeterminate, (r, line)
+        with pytest.raises(InconsistentInputError):
+            pi_digits(Identity(MACHIN.terms, r), 10)
 
 
 def test_numeric_digit_floor():
