@@ -25,7 +25,6 @@ from .errors import (
     InconsistentInputError,
     InvalidArgumentError,
     InvalidRadicandError,
-    RationalOnlyError,
     RightAngleError,
     UnsupportedRadicalError,
 )
@@ -37,7 +36,6 @@ from .generator import (
     half_turn,
     machin_pair,
     quad_reduce,
-    winding_correction,
 )
 from .odot import (
     NormalAngle,
@@ -45,13 +43,10 @@ from .odot import (
     fold_terms,
     odot,
     odot_pow,
-    odot_pow_reciprocal,
     root_poly,
 )
 from .sequences import (
-    fibonacci,
     lucas,
-    min_poly_phi_power,
     phi_power,
     uv_pair,
 )
@@ -92,14 +87,12 @@ __all__ = [
     "InvalidRadicandError",
     "NormalAngle",
     "OdotPolynomial",
-    "RationalOnlyError",
     "RightAngleError",
     "Surd",
     "UnsupportedRadicalError",
     "Value",
     "Verdict",
     "diff_identity",
-    "fibonacci",
     "fold_terms",
     "format_document",
     "format_identity",
@@ -111,10 +104,8 @@ __all__ = [
     "lehmer_measure",
     "lucas",
     "machin_pair",
-    "min_poly_phi_power",
     "odot",
     "odot_pow",
-    "odot_pow_reciprocal",
     "parse_document",
     "parse_identity",
     "parse_value",
@@ -128,5 +119,4 @@ __all__ = [
     "value_sqrt",
     "verify_exact",
     "verify_numeric",
-    "winding_correction",
 ]

@@ -143,13 +143,12 @@ from .errors import (
     DegenerateIdentityError,
     InconsistentInputError,
     InvalidArgumentError,
-    RationalOnlyError,
     check_int,
 )
 from .fixedpoint import _bit_burst, _pair
 from .generator import Identity
 from .odot import NormalAngle
-from .values import Surd, _int_text
+from .values import Value, _int_text, _ratio
 from .verifier import verify_exact
 
 __all__ = [
@@ -364,18 +363,28 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
     )
 
 
+def _log10_inverse(t: Value) -> float:
+    """log10(1/t) for 0 < t <= 1 from exact ints: by log1p of the exact gap
+    1/t - 1 below 2, so that a t near 1 keeps its digits, and by math.log10
+    of ints of any size above; 0.0 when that gap is 0 or below float range."""
+    r = 1 / t
+    if r < 2:
+        p, q = _ratio(r - 1)
+        return math.log1p(p / q) / math.log(10)
+    p, q = _ratio(r)
+    return math.log10(p) - math.log10(q)
+
+
 def lehmer_measure(identity: Identity) -> float:
     """Sum of 1/log10(1/|t'|) over terms, |t'| <= 1 after reciprocal
-    normalization; math.inf when any |t'| = 1.  Smaller means faster."""
+    normalization, for rational and surd terms alike; math.inf when any
+    |t'| = 1 or a score passes float range.  Smaller means faster."""
     total = 0.0
     for term in identity.terms:
-        if isinstance(term.arg, Surd):
-            raise RationalOnlyError("the measure is defined for rational terms")
         if term.arg == 0:
             raise DegenerateArgumentError("arctan(0) contributes no digits")
-        t = NormalAngle(term.arg, 0).canonical().t
-        p, q = abs(t.numerator), t.denominator
-        if p == q:
+        log = _log10_inverse(abs(NormalAngle(term.arg, 0).canonical().t))
+        if log == 0.0:
             return math.inf
-        total += 1.0 / (math.log10(q) - math.log10(p))
+        total += 1.0 / log
     return total

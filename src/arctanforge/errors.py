@@ -45,10 +45,6 @@ class InconsistentInputError(ArctanForgeError):
     """Inputs contradict each other (e.g. alpha is not a root of the given polynomial)."""
 
 
-class RationalOnlyError(ArctanForgeError):
-    """The Lehmer measure accepts rational arctangent arguments only."""
-
-
 class DegenerateIdentityError(ArctanForgeError):
     """The identity pins no multiple of pi (rhs vanishes after reduction)."""
 

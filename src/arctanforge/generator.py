@@ -32,14 +32,13 @@ from .errors import (
     check_int,
 )
 from .odot import NormalAngle, _check_pow_args, fold_terms
-from .sequences import lucas, min_poly_phi_power, phi_power, uv_pair
+from .sequences import lucas, phi_power, uv_pair
 from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
 
 __all__ = [
     "ArctanTerm",
     "Identity",
     "machin_pair",
-    "winding_correction",
     "quad_reduce",
     "golden_family",
     "half_turn",
@@ -106,18 +105,6 @@ def machin_pair(n: int, x) -> Identity:
     return Identity(terms, _rhs_from_fold(terms))
 
 
-def winding_correction(n: int, x) -> int:
-    """The integer k with n*A(1/x) + A((u_n-v_n)/(u_n+v_n)) = pi/4 + k*pi.
-
-    Computed by exact folding; the test suite cross-checks it against the
-    paper's floor/fractional-part formula evaluated in interval arithmetic.
-    """
-    k = machin_pair(n, x).rhs - Fraction(1, 4)
-    if k.denominator != 1:
-        raise RuntimeError(f"non-integer winding {k} for n={n}, x={x}")
-    return int(k)
-
-
 def quad_reduce(h: int, kq: int, alpha: Surd) -> Identity:
     """2*A(1/alpha) + A(1/y) at a root alpha of t^2 - h*t + kq.
 
@@ -151,29 +138,19 @@ def golden_family(kind: str, k: int) -> Identity:
     only_lucas:  A(L/2) - A((L-2)/(L+2)) = pi/4
     """
     check_int(k, "k", 1 if kind == "even" else 0)
-    if kind == "odd":
-        m = 2 * k + 1
-        return quad_reduce(*min_poly_phi_power(m), phi_power(m))
-    if kind == "even":
-        m = 2 * k
-        return quad_reduce(*min_poly_phi_power(m), phi_power(m))
-    if kind == "lucas_minus":
-        m = 2 * k + 1
-        terms = (
-            ArctanTerm(1, Fraction(lucas(m), 2)),
-            ArctanTerm(-2, phi_power(m)),
-        )
-        return Identity(terms, _rhs_from_fold(terms))
-    if kind == "lucas_plus":
-        m = 2 * k + 1
-        terms = (
-            ArctanTerm(1, Fraction(lucas(m), 2)),
-            ArctanTerm(2, 1 / phi_power(m)),
-        )
-        return Identity(terms, _rhs_from_fold(terms))
+    if kind not in GOLDEN_KINDS:
+        raise InvalidArgumentError(f"unknown kind {kind!r}; expected one of {GOLDEN_KINDS}")
+    m = 2 * k + (kind != "even")
+    if kind in ("odd", "even"):
+        return quad_reduce(lucas(m), (-1) ** m, phi_power(m))
+    half = Fraction(lucas(m), 2)
     if kind == "only_lucas":
-        return diff_identity(Fraction(lucas(2 * k + 1), 2))
-    raise InvalidArgumentError(f"unknown kind {kind!r}; expected one of {GOLDEN_KINDS}")
+        return diff_identity(half)
+    if kind == "lucas_minus":
+        terms = (ArctanTerm(1, half), ArctanTerm(-2, phi_power(m)))
+    else:
+        terms = (ArctanTerm(1, half), ArctanTerm(2, 1 / phi_power(m)))
+    return Identity(terms, _rhs_from_fold(terms))
 
 
 def half_turn(x) -> tuple[Identity, Identity]:

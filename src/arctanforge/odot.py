@@ -45,7 +45,6 @@ __all__ = [
     "OdotPolynomial",
     "odot",
     "odot_pow",
-    "odot_pow_reciprocal",
     "fold_terms",
     "root_poly",
 ]
@@ -55,15 +54,6 @@ def odot(x, y) -> Value:
     """Exact (x + y) / (1 - x*y); raises RightAngleError when x*y = 1."""
     x, y = as_value(x, "x"), as_value(y, "y")
     return _tangent(NormalAngle(x, 0) + NormalAngle(y, 0))
-
-
-def odot_pow_reciprocal(x, n: int) -> Value:
-    """(1/x) composed with itself n times: v_n(x) / u_n(x)."""
-    x = as_value(x, "x")
-    _check_pow_args(x, n)
-    if value_sign(x) == 0:  # arctan(1/0) is the right angle
-        return _tangent(n * NormalAngle(Fraction(0), 1))
-    return _tangent(n * NormalAngle(1 / x, 0))
 
 
 def odot_pow(x, n: int) -> Value:

@@ -5,8 +5,10 @@ arctangent addition, u_n + i*v_n = (x + i)^n, which ``uv_pair`` powers by
 squaring; ``uv_coefficients`` gives the same polynomials as binomial
 coefficient lists.
 
-Lucas and Fibonacci numbers feed the golden-ratio identities:
-phi^m = (L_m + F_m*sqrt(5)) / 2.
+Lucas numbers and the golden-mean powers feed the golden-ratio
+identities: phi^m = (L_m + F_m*sqrt(5)) / 2.  The Fibonacci numbers F_m
+have no function of their own; ``phi_power(m)`` carries F_m/2 as its
+sqrt(5) part.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .values import Value, as_value, surd_normalize
 __all__ = [
     "uv_pair",
     "lucas",
-    "fibonacci",
     "phi_power",
-    "min_poly_phi_power",
 ]
 
 
@@ -82,21 +82,12 @@ def lucas(m: int) -> int:
     return _lucas_fibonacci(m)[0]
 
 
-def fibonacci(m: int) -> int:
-    """Fibonacci number F_m (0, 1, 1, 2, 3, 5, ...)."""
-    return _lucas_fibonacci(m)[1]
-
-
 def phi_power(m: int) -> Value:
     """Exact m-th power of the golden mean: (L_m + F_m*sqrt(5)) / 2.
 
-    Returns a Surd for m >= 1 and Fraction(1) for m = 0.
+    Returns a Surd for m >= 1 and Fraction(1) for m = 0.  For m >= 1 its
+    minimal polynomial is t^2 - L_m*t + (-1)^m.
     """
     L, F = _lucas_fibonacci(m)
     return surd_normalize(Fraction(L, 2), Fraction(F, 2), 5)
 
-
-def min_poly_phi_power(m: int) -> tuple[int, int]:
-    """Coefficients (h, k) of the minimal polynomial t^2 - h*t + k of phi^m."""
-    check_int(m, "m", 1)
-    return lucas(m), (-1) ** m

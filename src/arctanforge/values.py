@@ -285,7 +285,8 @@ class Surd:
         return True  # canonical surds are irrational, hence nonzero
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        p, q = _ratio(self)
+        return p / q  # 0.0 below float range; OverflowError above it
 
     def __str__(self) -> str:
         return format_value(self)
@@ -300,6 +301,27 @@ def _fraction_sign(q: Fraction) -> int:
     if q < 0:
         return -1
     return 0
+
+
+def _ratio(v: Value) -> tuple[int, int]:
+    """Ints (p, q), q > 0, with p/q the value exactly for a Fraction and
+    within a relative 2^-64 for a Surd.
+
+    Over ints a surd is (A + B*sqrt(d))/C, and X = 2^64*(|A| + |B|*sqrt(d))
+    floored is off by under 1 in at least 2^64.  With A and B of opposite
+    signs the value is the norm A^2 - B^2*d over C*(A - B*sqrt(d)), whose
+    two parts add, so no digit cancels.
+    """
+    if not isinstance(v, Surd):
+        return v.numerator, v.denominator
+    A = v.a.numerator * v.b.denominator
+    B = v.b.numerator * v.a.denominator
+    C = v.a.denominator * v.b.denominator
+    X = (abs(A) << 64) + math.isqrt(B * B * v.d << 128)
+    if A * B >= 0:
+        return (X if B > 0 else -X), C << 64
+    norm = A * A - B * B * v.d
+    return (norm if A > 0 else -norm) << 64, C * X
 
 
 def _surd(a: Fraction, b: Fraction, d: int) -> Surd:

@@ -13,7 +13,6 @@ from arctanforge import (
     ArctanTerm,
     Identity,
     Surd,
-    fibonacci,
     fold_terms,
     golden_family,
     lucas,
@@ -29,7 +28,6 @@ from arctanforge import (
     value_sqrt,
     verify_exact,
     verify_numeric,
-    winding_correction,
 )
 from arctanforge.cli import run
 from oracles import RecurrenceSpec, uv_closed, w_eval, winding_correction_literal
@@ -140,7 +138,8 @@ def _gallery() -> list[Identity]:
         arg2 = Fraction(lucas(m) - 2, lucas(m) + 2)
         gallery.append(ident([(1, half), (-1, arg2)], Fraction(1, 4)))
     # closing quarter-turn differences f = x/2
-    closers = [phi / 2] + [Fraction(fibonacci(m), 2) for m in range(1, 11)] + [sqrt2 / 2]
+    fib = RecurrenceSpec(0, 1, 1, -1)
+    closers = [phi / 2] + [Fraction(w_eval(fib, m), 2) for m in range(1, 11)] + [sqrt2 / 2]
     for f in closers:
         gallery.append(ident([(1, f), (-1, (f - 1) / (f + 1))], Fraction(1, 4)))
     return gallery
@@ -166,7 +165,7 @@ def test_acceptance_3_winding_agreement(capsys):
     with _Gate(capsys, 3, "winding-count agreement", 10.0):
         for x in range(2, 21):
             for n in range(1, 21):
-                k_fold = winding_correction(n, Fraction(x))
+                k_fold = machin_pair(n, Fraction(x)).rhs - Fraction(1, 4)
                 k_lit = winding_correction_literal(n, Fraction(x))
                 assert k_fold == k_lit, (n, x, k_fold, k_lit)
 
@@ -203,8 +202,9 @@ def test_acceptance_4_algebraic_invariants(capsys):
                 assert w_eval(plus, n) == p.u + p.v
                 assert w_eval(minus, n) == p.u - p.v
         # Lucas-Fibonacci norm and the minimal polynomial of phi^m
+        fib = RecurrenceSpec(0, 1, 1, -1)
         for m in range(51):
-            assert lucas(m) ** 2 - 5 * fibonacci(m) ** 2 == 4 * (-1) ** m
+            assert lucas(m) ** 2 - 5 * w_eval(fib, m) ** 2 == 4 * (-1) ** m
         for m in range(1, 21):
             pm = phi_power(m)
             assert pm * pm - lucas(m) * pm + (-1) ** m == 0

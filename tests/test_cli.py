@@ -331,6 +331,25 @@ def test_measure_command(tmp_path, capsys):
     assert line.startswith("1.887269  5*atan(1/7)")
 
 
+def test_measure_surd_and_near_one_lines(tmp_path, capsys):
+    # |t'| within 1e-20 of 1 scores 1/log10(1 + 1e-20); a golden line
+    # within 1e-334 of 1 scores past float range
+    f = tmp_path / "ids.txt"
+    f.write_text(
+        "atan(100000000000000000000/100000000000000000001) = 1/4*pi\n"
+        "2*atan(surd(-2,1,5)) + atan(1/3) = 1/4*pi\n"
+        f"{format_identity(golden_family('odd', 800))}\n"
+    )
+    assert run(["measure", "--file", str(f)]) == 0
+    lines = out_lines(capsys)
+    assert [line.split()[0] for line in lines[1:]] == ["3.690894", "inf"]
+    score = float(lines[0].split()[0])
+    assert score == pytest.approx(2.302585092994046e20, rel=1e-12, abs=0)
+    assert run(["measure", "--json", "--file", str(f)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[2]["measure"] is None
+
+
 def test_measure_json_inf_is_null(tmp_path, capsys):
     f = tmp_path / "ids.txt"
     f.write_text("atan(1) = 1/4*pi\n")
@@ -514,4 +533,4 @@ def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
             out = out[: len(expected)]
         assert out == expected, command
         seen += 1
-    assert seen == 11
+    assert seen == 12

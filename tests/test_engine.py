@@ -20,7 +20,8 @@ from arctanforge import (
     Identity,
     InconsistentInputError,
     InvalidArgumentError,
-    RationalOnlyError,
+    NormalAngle,
+    Surd,
     diff_identity,
     golden_family,
     half_turn,
@@ -32,6 +33,7 @@ from arctanforge import (
 )
 from arctanforge import engine
 from arctanforge.engine import atan_series_split
+from arctanforge.fixedpoint import _floor
 from oracles import euler_partial_floor
 
 
@@ -516,14 +518,42 @@ def test_lehmer_measure_edge_cases():
     assert lehmer_measure(ident([(1, Fraction(1)), (1, Fraction(1, 2))], Fraction(1))) == math.inf
     with pytest.raises(DegenerateArgumentError):
         lehmer_measure(ident([(1, Fraction(0))], Fraction(1)))
-    with pytest.raises(RationalOnlyError):
-        lehmer_measure(golden_family("odd", 1))
+    # a surd term is scored too
+    score = lehmer_measure(golden_family("odd", 1))
+    assert score == pytest.approx(3.690893929883273, rel=1e-12, abs=0)
 
 
 def test_lehmer_measure_big_integers():
     # huge exact arguments must not overflow the log
     big = ident([(1, Fraction(1, 10**400))], Fraction(1))
     assert lehmer_measure(big) == pytest.approx(1 / 400, abs=1e-15)
+
+
+def test_lehmer_measure_surd_and_near_one_scores():
+    # each term scored against floor(|t'|*10^900) at 120 digits, and against
+    # the recorded score
+    near_one = ident([(1, Fraction(10**20, 10**20 + 1))], Fraction(1, 4))
+    cases = [
+        (golden_family("odd", 1), 3.690893929883273),
+        (golden_family("even", 5), 71.26738675220194),
+        (golden_family("lucas_minus", 3), 1.544620938367051),
+        (golden_family("lucas_plus", 800), 5.980170425198328e-3),
+        (quad_reduce(0, -2, Surd(0, 1, 2)), 9.759676892864531),
+        (near_one, 2.302585092994046e20),
+    ]
+    scale = 10**900
+    for identity, recorded in cases:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 120
+            want = Decimal(0)
+            for term in identity.terms:
+                t = abs(NormalAngle(term.arg, 0).canonical().t)
+                want += 1 / (Decimal(scale) / Decimal(_floor(t, scale))).log10()
+        got = lehmer_measure(identity)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0), identity
+        assert got == pytest.approx(recorded, rel=1e-12, abs=0), identity
+    # |t'| within float range of 1: the score is past float range
+    assert lehmer_measure(golden_family("odd", 800)) == math.inf
 
 
 def test_number_type_follows_the_working_decimals(monkeypatch):

@@ -16,7 +16,6 @@ from arctanforge import (
     Surd,
     UnsupportedRadicalError,
     diff_identity,
-    fibonacci,
     golden_family,
     half_turn,
     lucas,
@@ -26,9 +25,13 @@ from arctanforge import (
     surd_normalize,
     value_sign,
     verify_exact,
-    winding_correction,
 )
 from oracles import winding_correction_literal, winding_input
+
+
+def winding_correction(n, x):
+    # the winding k of machin_pair, as its fold decides it
+    return machin_pair(n, x).rhs - Fraction(1, 4)
 
 
 def terms_of(ident):

@@ -16,7 +16,6 @@ from arctanforge import (
     fold_terms,
     odot,
     odot_pow,
-    odot_pow_reciprocal,
     root_poly,
     uv_pair,
     value_sign,
@@ -54,7 +53,7 @@ def test_odot_pow_matches_uv():
     x = Fraction(3)
     for n in range(1, 9):
         p = uv_pair(n, x)
-        assert odot_pow_reciprocal(x, n) == Fraction(p.v, p.u)
+        assert odot_pow(1 / x, n) == Fraction(p.v, p.u)
     # x composed n times: u/v for odd n, -v/u for even n
     x = Fraction(2, 5)
     for n in range(1, 9):
@@ -86,7 +85,7 @@ def test_odot_pow_degenerate_inputs():
     with pytest.raises(DegenerateArgumentError):
         odot_pow(Fraction(1), 3)
     with pytest.raises(DegenerateArgumentError):
-        odot_pow_reciprocal(Fraction(-1), 2)
+        odot_pow(1 / Fraction(-1), 2)
     with pytest.raises(InvalidArgumentError):
         odot_pow(Fraction(2), 0)
 
@@ -97,23 +96,19 @@ def test_odot_pow_right_angle():
     with pytest.raises(RightAngleError):
         odot_pow(inv_sqrt3, 3)
     with pytest.raises(RightAngleError):
-        odot_pow_reciprocal(Surd(0, 1, 3), 3)
+        odot_pow(1 / Surd(0, 1, 3), 3)
 
 
 def test_odot_pow_odd_half_turn_count():
     # 4*arctan(1/sqrt(3)) = 2*pi/3 = arctan(1/sqrt(3)) + pi/2: the tangent of
     # an odd half-turn count is -1/t
     assert odot_pow(Surd(0, Fraction(1, 3), 3), 4) == Surd(0, -1, 3)
-    assert odot_pow_reciprocal(Surd(0, 1, 3), 4) == Surd(0, -1, 3)
+    assert odot_pow(1 / Surd(0, 1, 3), 4) == Surd(0, -1, 3)
 
 
 def test_odot_pow_zero_argument():
     assert odot_pow(Fraction(0), 3) == 0
-    assert odot_pow_reciprocal(Fraction(2), 1) == Fraction(1, 2)
-    # 1/0 is the right angle: an even number of them is a multiple of pi
-    assert odot_pow_reciprocal(Fraction(0), 4) == 0
-    with pytest.raises(RightAngleError):
-        odot_pow_reciprocal(Fraction(0), 3)
+    assert odot_pow(1 / Fraction(2), 1) == Fraction(1, 2)
 
 
 def test_normal_angle_canonical():

@@ -1,4 +1,4 @@
-"""Second-order recurrences: u/v pairs, Lucas, Fibonacci, golden powers."""
+"""Second-order recurrences: u/v pairs, Lucas numbers, golden powers."""
 
 import random
 import time
@@ -9,9 +9,7 @@ import pytest
 from arctanforge import (
     InvalidArgumentError,
     Surd,
-    fibonacci,
     lucas,
-    min_poly_phi_power,
     phi_power,
     uv_pair,
     value_sign,
@@ -101,13 +99,18 @@ def test_uv_with_surd_argument():
     assert p.u * p.u + p.v * p.v == (1 + x * x) ** 2
 
 
+def fibonacci(m):
+    # F_m, read from the sqrt(5) part F_m/2 of phi^m
+    return 2 * phi_power(m).b if m else 0
+
+
 def test_lucas_fibonacci_values():
     assert [lucas(m) for m in range(10)] == [2, 1, 3, 4, 7, 11, 18, 29, 47, 76]
     assert [fibonacci(m) for m in range(10)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
     luc, fib = RecurrenceSpec(2, 1, 1, -1), RecurrenceSpec(0, 1, 1, -1)
     for m in range(200):
         assert (lucas(m), fibonacci(m)) == (w_eval(luc, m), w_eval(fib, m))
-    for f in (lucas, fibonacci, phi_power):
+    for f in (lucas, phi_power):
         with pytest.raises(InvalidArgumentError):
             f(-1)
 
@@ -128,8 +131,7 @@ def test_phi_power_values():
 
 def test_phi_power_minimal_polynomial():
     for m in range(1, 21):
-        h, k = min_poly_phi_power(m)
-        assert (h, k) == (lucas(m), (-1) ** m)
+        h, k = lucas(m), (-1) ** m
         a = phi_power(m)
         assert value_sign(a * a - h * a + k) == 0
 

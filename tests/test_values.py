@@ -3,7 +3,7 @@
 import math
 import random
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -14,6 +14,7 @@ from arctanforge import (
     InvalidRadicandError,
     Surd,
     UnsupportedRadicalError,
+    phi_power,
     surd_normalize,
     value_sign,
     value_sqrt,
@@ -292,6 +293,33 @@ def test_str_and_float():
     assert str(s) == "surd(-1/2,1/2,5)"
     assert math.isclose(float(s), (-1 + math.sqrt(5)) / 2)
     assert float(Fraction(1, 4)) == 0.25
+
+
+def test_float_does_not_cancel():
+    # a and b of opposite signs: the value goes through its norm and
+    # conjugate, so float() keeps its sign and digits
+    with localcontext() as ctx:
+        ctx.prec = 300  # p - q*sqrt(2) below cancels 130 of p's digits
+        root2, root5 = Decimal(2).sqrt(), Decimal(5).sqrt()
+        near = Surd(1, Fraction(-707106781186547524, 10**18), 2)
+        want = 1 - Decimal("0.707106781186547524") * root2
+        assert value_sign(near) == 1
+        assert float(near) == pytest.approx(float(want), rel=1e-12, abs=0)  # 5.67e-19
+        assert float(1 / phi_power(600)) == pytest.approx(
+            float((2 / (1 + root5)) ** 600), rel=1e-12, abs=0
+        )  # 4.05e-126
+        # p - q*sqrt(2) at the convergents of sqrt(2), down to 1e-130
+        p, q = 1, 1
+        for _ in range(170):
+            x = Surd(p, -q, 2)
+            want = float(p - q * root2)
+            assert float(x) == pytest.approx(want, rel=1e-12, abs=0), (p, q)
+            p, q = p + 2 * q, p + q
+    # below float range a value floors to 0.0, and above it float() raises,
+    # as float(Fraction) does
+    assert float(1 / phi_power(2000)) == 0.0  # 1.06e-418
+    with pytest.raises(OverflowError):
+        float(phi_power(2000))
 
 
 def test_decimal_text_pair_round_trip():
