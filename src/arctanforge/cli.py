@@ -15,8 +15,8 @@ import contextlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .engine import lehmer_measure, pi_digits
 from .errors import ArctanForgeError, IdentitySyntaxError, InvalidArgumentError

@@ -121,7 +121,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -148,7 +147,7 @@ from .errors import (
 from .fixedpoint import _bit_burst, _pair
 from .generator import Identity
 from .odot import NormalAngle
-from .values import Value, _int_text, _ratio
+from .values import Value, _int_text, _ratio, _Record, _set
 from .verifier import verify_exact
 
 __all__ = [
@@ -182,12 +181,16 @@ EXACT = Context(
 )
 
 
-@dataclass(frozen=True)
-class DigitResult:
-    digits: str
-    source: Identity
-    elapsed: float
-    unrounded: bool = False
+class DigitResult(_Record):
+    __slots__ = ("digits", "source", "elapsed", "unrounded")
+
+    def __init__(
+        self, digits: str, source: Identity, elapsed: float, unrounded: bool = False
+    ):
+        _set(self, "digits", digits)
+        _set(self, "source", source)
+        _set(self, "elapsed", elapsed)
+        _set(self, "unrounded", unrounded)
 
 
 def _length(x) -> int:
@@ -333,6 +336,7 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
     # arctan(1) = pi/4 move to the right side, arctan(0) drops out, and any
     # other t' is floored if it is a surd and cut into bit-burst chunks
     scale = digits + GUARD
+    unit = 10**scale
     work, rprime = [], identity.rhs
     for term in identity.terms:
         angle = NormalAngle(term.arg, 0).canonical()
@@ -340,7 +344,7 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
         if angle.t == 1:
             rprime -= Fraction(term.coeff, 4)
         elif angle.t != 0:
-            p, q, slack = _pair(angle.t, 10**scale)
+            p, q, slack = _pair(angle.t, unit)
             work.append((term.coeff, *_bit_burst(p, q, scale), slack))
     if rprime == 0:
         raise DegenerateIdentityError(
@@ -352,8 +356,9 @@ def pi_digits(identity: Identity, digits: int) -> DigitResult:
         values = []
         for c, chunks, (p, q), slack in work:
             f = sum(atan_series_split(a, b, scale, num) for a, b in chunks)
-            units = 3 * len(chunks) + (2 if p else 0) + slack
-            values.append((c, f + num(p * 10**scale // q), units))
+            if p:  # the remainder's floor; every short rational leaves none
+                f += num(p * unit // q)
+            values.append((c, f, 3 * len(chunks) + (2 if p else 0) + slack))
         text, unrounded = _enclosure_text(values, rprime, digits)
     return DigitResult(
         digits=text,

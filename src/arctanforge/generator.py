@@ -19,7 +19,6 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .odot import NormalAngle, _check_pow_args, fold_terms
 from .sequences import lucas, phi_power, uv_pair
-from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
+from .values import Surd, Value, _Record, _set, as_value, format_value, value_sign, value_sqrt
 
 __all__ = [
     "ArctanTerm",
@@ -48,36 +47,41 @@ __all__ = [
 GOLDEN_KINDS = ("odd", "even", "lucas_minus", "lucas_plus", "only_lucas")
 
 
-@dataclass(frozen=True)
-class ArctanTerm:
+class ArctanTerm(_Record):
     """One summand coeff*arctan(arg)."""
 
-    coeff: int
-    arg: Value
+    __slots__ = ("coeff", "arg")
 
-    def __post_init__(self):
-        check_int(self.coeff, "coeff")
-        if self.coeff == 0:
+    def __init__(self, coeff: int, arg: Value):
+        check_int(coeff, "coeff")
+        if coeff == 0:
             raise InvalidArgumentError("zero coefficient")
-        object.__setattr__(self, "arg", as_value(self.arg, "arg"))
+        _set(self, "coeff", coeff)
+        _set(self, "arg", as_value(arg, "arg"))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coeff, self.arg) == (other.coeff, other.arg)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeff, self.arg))
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(_Record):
     """Sum of arctangent terms claimed to equal rhs*pi.
 
     The claim is data, not a guarantee: the verifier decides it.  Every
     identity produced by this module's generators folds exactly to its rhs.
     """
 
-    terms: tuple[ArctanTerm, ...]
-    rhs: Fraction
+    __slots__ = ("terms", "rhs")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[ArctanTerm, ...], rhs: Fraction):
+        if not terms:
             raise InvalidArgumentError("an identity needs at least one term")
-        object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "rhs", as_value(self.rhs, "rhs", surd=False))
+        _set(self, "terms", tuple(terms))
+        _set(self, "rhs", as_value(rhs, "rhs", surd=False))
 
     def fold(self) -> NormalAngle:
         return fold_terms((t.coeff, t.arg) for t in self.terms)

@@ -27,9 +27,9 @@ x*v_n(z) - u_n(z) (n odd), exposed by :func:`root_poly`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (
     DegenerateArgumentError,
@@ -38,7 +38,7 @@ from .errors import (
     check_int,
 )
 from .sequences import uv_coefficients
-from .values import Surd, Value, as_value, format_value, value_sign, value_sqrt
+from .values import Surd, Value, _Record, _set, as_value, format_value, value_sign, value_sqrt
 
 __all__ = [
     "NormalAngle",
@@ -99,8 +99,7 @@ _PI_MULTIPLES: dict[Value, Fraction] = {
 }
 
 
-@dataclass(frozen=True)
-class NormalAngle:
+class NormalAngle(_Record):
     """The exact angle arctan(t) + h*(pi/2), h an integer half-turn count.
 
     The canonical representative keeps t in (-1, 1], i.e. the arctangent
@@ -108,12 +107,20 @@ class NormalAngle:
     unique, which is what ``same_angle`` compares.
     """
 
-    t: Value
-    h: int
+    __slots__ = ("t", "h")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_value(self.t, "t"))
-        check_int(self.h, "h")
+    def __init__(self, t: Value, h: int):
+        _set(self, "t", as_value(t, "t"))
+        check_int(h, "h")
+        _set(self, "h", h)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.t, self.h) == (other.t, other.h)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.t, self.h))
 
     def canonical(self) -> "NormalAngle":
         t, h = self.t, self.h
@@ -172,9 +179,9 @@ class NormalAngle:
         return acc
 
     def __float__(self) -> float:
-        import math
-
-        return math.atan(float(self.t)) + self.h * math.pi / 2
+        # the canonical tangent lies in (-1, 1], so its float never overflows
+        c = self.canonical()
+        return math.atan(float(c.t)) + c.h * math.pi / 2
 
     def __str__(self) -> str:
         return f"arctan({format_value(self.t)}) + {format_value(self.h)}*(pi/2)"
@@ -194,17 +201,19 @@ def fold_terms(terms: Iterable[tuple[int, Value]]) -> NormalAngle:
     return state
 
 
-@dataclass(frozen=True)
-class OdotPolynomial:
+class OdotPolynomial(_Record):
     """Polynomial whose real roots are the n-th composition roots of x.
 
     coefficients[i] is the coefficient of z^i; the degree always equals the
     root order n.
     """
 
-    coefficients: tuple[Value, ...]
-    n: int
-    x: Value
+    __slots__ = ("coefficients", "n", "x")
+
+    def __init__(self, coefficients: tuple[Value, ...], n: int, x: Value):
+        _set(self, "coefficients", coefficients)
+        _set(self, "n", n)
+        _set(self, "x", x)
 
     @property
     def degree(self) -> int:

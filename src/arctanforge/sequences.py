@@ -14,11 +14,10 @@ sqrt(5) part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import check_int
-from .values import Value, as_value, surd_normalize
+from .values import Value, _Record, _set, as_value, surd_normalize
 
 __all__ = [
     "uv_pair",
@@ -27,14 +26,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UVPair:
+class UVPair(_Record):
     """(u_n(x), v_n(x)); invariant: u^2 + v^2 = (1 + x^2)^n."""
 
-    u: Value
-    v: Value
-    n: int
-    x: Value
+    __slots__ = ("u", "v", "n", "x")
+
+    def __init__(self, u: Value, v: Value, n: int, x: Value):
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "n", n)
+        _set(self, "x", x)
 
 
 def uv_pair(n: int, x) -> UVPair:

@@ -15,12 +15,11 @@ printing after parsing is idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IdentitySyntaxError, InvalidArgumentError, InvalidRadicandError
 from .generator import ArctanTerm, Identity
-from .values import Value, _text_int, format_value, surd_normalize, value_sign
+from .values import Value, _Record, _set, _text_int, format_value, surd_normalize, value_sign
 
 __all__ = [
     "IdentityDocument",
@@ -190,11 +189,13 @@ def parse_identity(line: str) -> Identity:
 Annotations = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class IdentityDocument:
+class IdentityDocument(_Record):
     """Ordered identities, each with optional key=value annotations."""
 
-    entries: tuple[tuple[Identity, Annotations | None], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Identity, Annotations | None], ...]):
+        _set(self, "entries", entries)
 
     @property
     def identities(self) -> tuple[Identity, ...]:

@@ -17,9 +17,8 @@ decided by exact integer case analysis, never by floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
-from typing import Union
 
 from .errors import (
     IncompatibleFieldError,
@@ -58,6 +57,50 @@ def _text_int(digits: str) -> int:
         return int(digits)
     half = len(digits) // 2
     return _text_int(digits[:-half]) * 10**half + _text_int(digits[-half:])
+
+
+_set = object.__setattr__  # fills a record's slots past its __setattr__
+
+
+class _Record:
+    """Base of the package's immutable records: a plain class, so defining
+    one compiles no generated methods, as a frozen dataclass would.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` through ``_set``.  Records compare equal when they are of
+    one class with equal fields, hash by their fields, and take no assignment
+    or deletion once built; copies and pickles rebuild them through the
+    constructor.  A record on a hot path writes out its own ``__eq__`` and
+    ``__hash__`` over the same fields, since a tuple of its attributes is
+    built faster than the key's call.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
 # trial division stops at the first bound that certifies the cofactor;
@@ -125,8 +168,7 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
     )
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(_Record):
     """The exact real number a + b*sqrt(d).
 
     Instances must already be canonical: d squarefree and >= 2, b != 0.
@@ -135,23 +177,31 @@ class Surd:
     demotes to Fraction whenever the sqrt(d) part cancels.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_value(self.a, "a", surd=False))
-        object.__setattr__(self, "b", as_value(self.b, "b", surd=False))
-        check_int(self.d, "d")
-        if self.d < 2:
-            raise InvalidRadicandError(f"radicand must be >= 2, got {_int_text(self.d)}")
-        _, core = _squarefree_decompose(self.d)
-        if core != self.d:
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        a, b = as_value(a, "a", surd=False), as_value(b, "b", surd=False)
+        check_int(d, "d")
+        if d < 2:
+            raise InvalidRadicandError(f"radicand must be >= 2, got {_int_text(d)}")
+        _, core = _squarefree_decompose(d)
+        if core != d:
             raise InvalidRadicandError(
-                f"radicand {_int_text(self.d)} is not squarefree; use surd_normalize()"
+                f"radicand {_int_text(d)} is not squarefree; use surd_normalize()"
             )
-        if self.b == 0:
+        if b == 0:
             raise InvalidRadicandError("b = 0 is rational; use surd_normalize()")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
 
     # -- field arithmetic ---------------------------------------------------
 
@@ -292,7 +342,7 @@ class Surd:
         return format_value(self)
 
 
-Value = Union[Fraction, Surd]
+Value = Fraction | Surd
 
 
 def _fraction_sign(q: Fraction) -> int:
@@ -329,9 +379,9 @@ def _surd(a: Fraction, b: Fraction, d: int) -> Surd:
     and >= 2), skipping the checks of the public constructor: arithmetic on
     canonical surds keeps d, so it never needs to factor it again."""
     s = object.__new__(Surd)
-    object.__setattr__(s, "a", a)
-    object.__setattr__(s, "b", b)
-    object.__setattr__(s, "d", d)
+    _set(s, "a", a)
+    _set(s, "b", b)
+    _set(s, "d", d)
     return s
 
 

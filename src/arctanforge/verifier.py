@@ -19,27 +19,35 @@ feeds the exact path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import check_int
 from .fixedpoint import FixedPointContext, _times, pi_interval
 from .generator import Identity
 from .odot import NormalAngle
-from .values import _int_text
+from .values import _int_text, _Record, _set
 
 __all__ = ["Verdict", "verify_exact", "verify_numeric", "DEFAULT_GUARD"]
 
 DEFAULT_GUARD = 5
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    actual: NormalAngle | None
-    claimed_rhs: Fraction
-    numeric_residual: str | None = None
-    indeterminate: bool = False
+class Verdict(_Record):
+    __slots__ = ("holds", "actual", "claimed_rhs", "numeric_residual", "indeterminate")
+
+    def __init__(
+        self,
+        holds: bool,
+        actual: NormalAngle | None,
+        claimed_rhs: Fraction,
+        numeric_residual: str | None = None,
+        indeterminate: bool = False,
+    ):
+        _set(self, "holds", holds)
+        _set(self, "actual", actual)
+        _set(self, "claimed_rhs", claimed_rhs)
+        _set(self, "numeric_residual", numeric_residual)
+        _set(self, "indeterminate", indeterminate)
 
 
 def verify_exact(identity: Identity) -> Verdict:

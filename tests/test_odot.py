@@ -14,8 +14,10 @@ from arctanforge import (
     Surd,
     UnsupportedRadicalError,
     fold_terms,
+    lucas,
     odot,
     odot_pow,
+    phi_power,
     root_poly,
     uv_pair,
     value_sign,
@@ -156,6 +158,14 @@ def test_fold_matches_float():
         st = fold_terms(terms)
         want = sum(c * math.atan(float(a)) for c, a in terms)
         assert math.isclose(float(st), want, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_float_of_a_tangent_past_float_range():
+    # float() takes the canonical tangent in (-1, 1], so a huge t gives
+    # about pi/2 rather than an overflow
+    assert float(NormalAngle(Fraction(lucas(1601), 2), 0)) == 1.5707963267948966
+    assert float(NormalAngle(phi_power(1601), 0)) == 1.5707963267948966
+    assert float(NormalAngle(-phi_power(1601), 3)) == pytest.approx(math.pi)
 
 
 def test_pi_multiple_round_trip():

@@ -1,12 +1,16 @@
 """The package's public surface: the names the README documents, the
-attributes the benchmark's tracer wraps, the routes kept apart, and the
-integer check at every entry point."""
+attributes the benchmark's tracer wraps, the routes kept apart, the
+integer check at every entry point, and the contract of the records."""
 
 import ast
+import copy
 import importlib
 import importlib.util
 import inspect
+import pickle
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -16,10 +20,15 @@ import pytest
 import arctanforge
 from arctanforge import (
     ArctanTerm,
+    DigitResult,
     Identity,
+    IdentityDocument,
     InvalidArgumentError,
+    InvalidRadicandError,
     NormalAngle,
+    OdotPolynomial,
     Surd,
+    Verdict,
     diff_identity,
     fold_terms,
     format_value,
@@ -41,7 +50,7 @@ from arctanforge import (
     verify_numeric,
 )
 from arctanforge.fixedpoint import FixedPointContext
-from arctanforge.sequences import uv_coefficients
+from arctanforge.sequences import UVPair, uv_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -195,3 +204,90 @@ def test_value_entry_points_are_in_the_table():
         if inspect.isfunction(fn):
             for param in names & set(inspect.signature(fn).parameters):
                 assert (fn, param) in covered, (name, param)
+
+
+TERM = ArctanTerm(4, Fraction(1, 5))
+MACHIN = Identity((TERM, ArctanTerm(-1, Fraction(1, 239))), Fraction(1, 4))
+ANGLE = NormalAngle(Fraction(1, 2), 1)
+
+# (record class, its fields in order with values, one field changed, and
+# arguments its constructor rejects with the error, or None)
+RECORDS = [
+    (Surd, {"a": Fraction(1, 2), "b": Fraction(1, 2), "d": 5}, {"d": 7},
+     ((1, 1, 4), InvalidRadicandError)),
+    (NormalAngle, {"t": Fraction(1, 2), "h": 1}, {"h": 2}, ((0.5, 0), InvalidArgumentError)),
+    (ArctanTerm, {"coeff": 4, "arg": Fraction(1, 5)}, {"coeff": 3},
+     ((0, 1), InvalidArgumentError)),
+    (Identity, {"terms": MACHIN.terms, "rhs": Fraction(1, 4)}, {"rhs": Fraction(1, 2)},
+     (((), Fraction(1, 4)), InvalidArgumentError)),
+    (OdotPolynomial, {"coefficients": (Fraction(-2), Fraction(2), Fraction(2)), "n": 2,
+                      "x": Fraction(2)}, {"n": 3}, None),
+    (UVPair, {"u": Fraction(2), "v": Fraction(11), "n": 3, "x": Fraction(2)}, {"n": 4}, None),
+    (IdentityDocument, {"entries": ((MACHIN, (("n", "1"),)), (MACHIN, None))},
+     {"entries": ()}, None),
+    (DigitResult, {"digits": "3.14", "source": MACHIN, "elapsed": 0.25, "unrounded": True},
+     {"unrounded": False}, None),
+    (Verdict, {"holds": True, "actual": ANGLE, "claimed_rhs": Fraction(1, 4),
+               "numeric_residual": "1e-9 +/- 2e-10", "indeterminate": False},
+     {"holds": False}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, changed, rejected", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_record_contract(cls, fields, changed, rejected):
+    record = cls(*fields.values())
+    # positional and keyword construction build equal records with equal
+    # hashes, and the fields read back
+    twin = cls(**fields)
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    assert {record, twin} == {record}
+    assert all(getattr(record, name) == value for name, value in fields.items())
+    # another field value, another class or the bare field tuple is unequal
+    other = cls(**{**fields, **changed})
+    assert record != other
+    assert all(record != r for r in (TERM, ANGLE, tuple(fields.values())) if type(r) is not cls)
+    # immutable: no field takes assignment or deletion, and no new attribute
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, fields[name])
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert all(getattr(record, name) == value for name, value in fields.items())
+    # repr names every field; copies and pickles are equal
+    text = repr(record)
+    assert text.startswith(f"{cls.__name__}(")
+    assert all(f"{name}=" in text for name in fields)
+    assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    if rejected is not None:
+        args, error = rejected
+        with pytest.raises(error):
+            cls(*args)
+
+
+def test_record_defaults():
+    assert DigitResult("3.14", MACHIN, 0.25).unrounded is False
+    assert DigitResult("3.14", MACHIN, 0.25, unrounded=True).unrounded is True
+    verdict = Verdict(True, ANGLE, Fraction(1, 4))
+    assert verdict.numeric_residual is None and verdict.indeterminate is False
+    assert verdict == Verdict(holds=True, actual=ANGLE, claimed_rhs=Fraction(1, 4))
+
+
+def test_import_generates_no_code():
+    # the records are plain classes, so importing the CLI loads neither
+    # dataclasses nor the inspect module it pulls in
+    src = str(ROOT / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import arctanforge.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
