@@ -57,8 +57,6 @@ from .errors import check_int
 from .odot import NormalAngle, fold_terms
 from .values import Surd, Value, as_value
 
-__all__ = ["FixedPointContext", "pi_interval"]
-
 # (coeff, arg) terms of Euler's identity, summing to pi/4.
 _PI_BOOTSTRAP = ((5, Fraction(1, 7)), (2, Fraction(3, 79)))
 

@@ -59,14 +59,6 @@ class ArctanTerm(_Record):
         _set(self, "coeff", coeff)
         _set(self, "arg", as_value(arg, "arg"))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.coeff, self.arg) == (other.coeff, other.arg)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeff, self.arg))
-
 
 class Identity(_Record):
     """Sum of arctangent terms claimed to equal rhs*pi.
@@ -78,9 +70,12 @@ class Identity(_Record):
     __slots__ = ("terms", "rhs")
 
     def __init__(self, terms: tuple[ArctanTerm, ...], rhs: Fraction):
+        terms = tuple(terms)
         if not terms:
             raise InvalidArgumentError("an identity needs at least one term")
-        _set(self, "terms", tuple(terms))
+        if not all(isinstance(t, ArctanTerm) for t in terms):
+            raise InvalidArgumentError("every term must be an ArctanTerm")
+        _set(self, "terms", terms)
         _set(self, "rhs", as_value(rhs, "rhs", surd=False))
 
     def fold(self) -> NormalAngle:

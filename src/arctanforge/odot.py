@@ -104,7 +104,8 @@ class NormalAngle(_Record):
 
     The canonical representative keeps t in (-1, 1], i.e. the arctangent
     part in (-pi/4, pi/4]; in that range the representation of any angle is
-    unique, which is what ``same_angle`` compares.
+    unique, so two angles are equal exactly when their ``canonical()`` forms
+    are.
     """
 
     __slots__ = ("t", "h")
@@ -113,14 +114,6 @@ class NormalAngle(_Record):
         _set(self, "t", as_value(t, "t"))
         check_int(h, "h")
         _set(self, "h", h)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.t, self.h) == (other.t, other.h)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.t, self.h))
 
     def canonical(self) -> "NormalAngle":
         t, h = self.t, self.h
@@ -134,9 +127,6 @@ class NormalAngle(_Record):
             if c == 0:  # t = -1
                 return NormalAngle(Fraction(1), h - 1)
         return self
-
-    def same_angle(self, other: "NormalAngle") -> bool:
-        return self.canonical() == other.canonical()
 
     def to_pi_multiple(self) -> Fraction | None:
         """r with angle = r*pi, when the angle is such a rational multiple."""

@@ -70,9 +70,7 @@ class _Record:
     ``__init__`` through ``_set``.  Records compare equal when they are of
     one class with equal fields, hash by their fields, and take no assignment
     or deletion once built; copies and pickles rebuild them through the
-    constructor.  A record on a hot path writes out its own ``__eq__`` and
-    ``__hash__`` over the same fields, since a tuple of its attributes is
-    built faster than the key's call.
+    constructor.
     """
 
     __slots__ = ()
@@ -195,14 +193,6 @@ class Surd(_Record):
         _set(self, "b", b)
         _set(self, "d", d)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.d) == (other.a, other.b, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
     # -- field arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "Surd | Fraction | None":
@@ -250,9 +240,7 @@ class Surd(_Record):
         if other is None:
             return NotImplemented
         if isinstance(other, Fraction):
-            if other == 0:
-                return Fraction(0)
-            return _surd(self.a * other, self.b * other, self.d)
+            return _make(self.a * other, self.b * other, self.d)
         return _make(
             self.a * other.a + self.b * other.b * self.d,
             self.a * other.b + self.b * other.a,
@@ -272,8 +260,6 @@ class Surd(_Record):
         if other is None:
             return NotImplemented
         if isinstance(other, Fraction):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
             return _surd(self.a / other, self.b / other, self.d)
         return self * other.inverse()
 
@@ -306,8 +292,6 @@ class Surd(_Record):
         sb = _fraction_sign(self.b)
         if sa == sb or sa == 0:
             return sb
-        if sb == 0:
-            return sa
         # Opposite signs: compare a^2 against b^2 d.  Equality would force
         # sqrt(d) rational, impossible for squarefree d >= 2.
         return sa if self.a * self.a > self.b * self.b * self.d else sb
@@ -330,9 +314,6 @@ class Surd(_Record):
 
     def __abs__(self) -> "Surd":
         return self if self.sign() >= 0 else -self
-
-    def __bool__(self) -> bool:
-        return True  # canonical surds are irrational, hence nonzero
 
     def __float__(self) -> float:
         p, q = _ratio(self)

@@ -27,7 +27,7 @@ from .generator import Identity
 from .odot import NormalAngle
 from .values import _int_text, _Record, _set
 
-__all__ = ["Verdict", "verify_exact", "verify_numeric", "DEFAULT_GUARD"]
+__all__ = ["Verdict", "verify_exact", "verify_numeric"]
 
 DEFAULT_GUARD = 5
 

@@ -3,8 +3,11 @@
 import io
 import json
 import random
+import runpy
 import shlex
+import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -366,6 +369,21 @@ def test_unknown_command_and_empty_argv():
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["gen", "--help"]) == 0
+
+
+def test_main_and_module_entry_points(capsys, monkeypatch):
+    # the console script and `python -m arctanforge.cli` both exit with run's code
+    monkeypatch.setattr(sys, "argv", ["arctanforge", "gen", "--n", "7", "--x", "3"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 0
+    assert out_lines(capsys) == ["7*atan(1/3) - atan(278/29) = 1/4*pi"]
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exit_info:
+        # runpy warns that this test module has already imported arctanforge.cli
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("arctanforge.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert out_lines(capsys) == ["7*atan(1/3) - atan(278/29) = 1/4*pi"]
 
 
 # Pieces of option values: ASCII and non-ASCII digits, signs, separators and

@@ -335,6 +335,10 @@ def test_pi_digits_rejects_wrong_identity():
     wrong = ident([(2, Fraction(1, 2)), (1, Fraction(1, 3))], Fraction(1, 4))
     with pytest.raises(InconsistentInputError):
         pi_digits(wrong, 20)
+    # the enclosure itself refuses a sum that is not pi at the claimed rhs,
+    # which the exact check above keeps pi_digits from reaching
+    with pytest.raises(InconsistentInputError):
+        engine._enclosure_text([(1, 0, 1)], Fraction(1, 4), 5)
 
 
 def test_pi_digits_degenerate_identities():

@@ -26,6 +26,7 @@ from arctanforge import (
     value_sign,
     verify_exact,
 )
+from arctanforge.generator import _rhs_from_fold
 from oracles import winding_correction_literal, winding_input
 
 
@@ -298,11 +299,20 @@ def test_all_generated_identities_verify():
         assert verify_exact(ident).holds, ident
 
 
+def test_rhs_from_fold_refuses_an_off_lattice_fold():
+    # every generator's terms fold onto the lattice; atan(1/2) alone does not
+    with pytest.raises(RuntimeError, match="off the quarter-pi lattice"):
+        _rhs_from_fold((ArctanTerm(1, Fraction(1, 2)),))
+
+
 def test_identity_type_invariants():
     with pytest.raises(InvalidArgumentError):
         ArctanTerm(0, Fraction(1, 2))
-    with pytest.raises(InvalidArgumentError):
-        Identity((), Fraction(1, 4))
+    # the terms are checked once taken into a tuple, so an empty iterator
+    # and an item that is not an ArctanTerm are refused too
+    for terms in ((), (t for t in []), ("x",), (ArctanTerm(1, Fraction(1, 2)), Fraction(1, 3))):
+        with pytest.raises(InvalidArgumentError):
+            Identity(terms, Fraction(1, 4))
     ident = Identity([ArctanTerm(1, Fraction(1, 2))], Fraction(1, 4))
     assert isinstance(ident.terms, tuple)
     assert value_sign(ident.terms[0].arg - Fraction(1, 2)) == 0

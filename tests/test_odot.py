@@ -10,6 +10,7 @@ from arctanforge import (
     DegenerateArgumentError,
     InvalidArgumentError,
     NormalAngle,
+    OdotPolynomial,
     RightAngleError,
     Surd,
     UnsupportedRadicalError,
@@ -106,6 +107,9 @@ def test_odot_pow_odd_half_turn_count():
     # an odd half-turn count is -1/t
     assert odot_pow(Surd(0, Fraction(1, 3), 3), 4) == Surd(0, -1, 3)
     assert odot_pow(1 / Surd(0, 1, 3), 4) == Surd(0, -1, 3)
+    # 5*arctan(sqrt(2) - 1) = 5*pi/8 = arctan(-1/(sqrt(2) - 1)) + pi/2 folds to
+    # h = 1, so the tangent is -1/t there
+    assert odot_pow(Surd(-1, 1, 2), 5) == Surd(-1, -1, 2)
 
 
 def test_odot_pow_zero_argument():
@@ -123,8 +127,9 @@ def test_normal_angle_canonical():
 
 
 def test_same_angle():
-    assert NormalAngle(Fraction(3), 0).same_angle(NormalAngle(Fraction(-1, 3), 1))
-    assert not NormalAngle(Fraction(3), 0).same_angle(NormalAngle(Fraction(3), 2))
+    # equal canonical forms mean equal angles
+    assert NormalAngle(Fraction(3), 0).canonical() == NormalAngle(Fraction(-1, 3), 1).canonical()
+    assert NormalAngle(Fraction(3), 0).canonical() != NormalAngle(Fraction(3), 2).canonical()
 
 
 def test_fold_branches():
@@ -202,6 +207,8 @@ def test_root_poly_roots_compose_back():
     poly = root_poly(1, Fraction(2, 3))
     assert poly.roots() == (Fraction(2, 3),)
     assert odot_pow(Fraction(2, 3), 1) == Fraction(2, 3)
+    # a constant polynomial has no roots
+    assert OdotPolynomial((Fraction(3),), 0, Fraction(2)).roots() == ()
 
 
 def test_root_poly_cubic():
@@ -294,7 +301,8 @@ def test_right_angles_mid_fold():
     for arg in _SURD_ARGS:
         for c in range(-24, 25):
             want = _fold_copies(ZERO_ANGLE, c, arg)
-            assert (ZERO_ANGLE + c * NormalAngle(arg, 0)).same_angle(want), (c, arg)
+            got = ZERO_ANGLE + c * NormalAngle(arg, 0)
+            assert got.canonical() == want.canonical(), (c, arg)
 
 
 def _random_angle(rng):
@@ -309,15 +317,15 @@ def test_angle_group_laws():
     rng = random.Random(77)
     for _ in range(200):
         a, b, c = (_random_rational_angle(rng) for _ in range(3))
-        assert ((a + b) + c).same_angle(a + (b + c))
-        assert (a + b).same_angle(b + a)
-        assert (a + ZERO_ANGLE).same_angle(a)
+        assert ((a + b) + c).canonical() == (a + (b + c)).canonical()
+        assert (a + b).canonical() == (b + a).canonical()
+        assert (a + ZERO_ANGLE).canonical() == a.canonical()
         assert (a + (-a)).canonical() == ZERO_ANGLE
     for _ in range(100):
         a = _random_angle(rng)
         n, m = rng.randint(-20, 20), rng.randint(-20, 20)
-        assert (n * (m * a)).same_angle((n * m) * a), (n, m, a)
-        assert ((n + m) * a).same_angle(n * a + m * a), (n, m, a)
+        assert (n * (m * a)).canonical() == ((n * m) * a).canonical(), (n, m, a)
+        assert ((n + m) * a).canonical() == (n * a + m * a).canonical(), (n, m, a)
         assert (a + (-a)).canonical() == ZERO_ANGLE
     with pytest.raises(TypeError):
         a + Fraction(1, 2)

@@ -61,6 +61,15 @@ def test_all_matches_readme():
     assert arctanforge.__all__ == re.findall(r"`(\w+)`", section)
 
 
+def test_module_all_names_only_package_exports():
+    # a module's __all__ lists what the package exports, and nothing else
+    for path in sorted((ROOT / "src" / "arctanforge").glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"arctanforge.{path.stem}")
+            extra = set(getattr(module, "__all__", ())) - set(arctanforge.__all__)
+            assert not extra, (path.name, extra)
+
+
 def test_bench_patches_resolve():
     # the tracer skips an attribute it cannot find, and its layer then reads 0
     path = ROOT / "bench" / "spans.py"

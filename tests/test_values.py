@@ -1,6 +1,7 @@
 """Exact value layer: rationals, quadratic surds, square roots."""
 
 import math
+import operator
 import random
 import time
 from decimal import Decimal, localcontext
@@ -173,6 +174,17 @@ def test_mixed_scalar_arithmetic():
     assert s - Fraction(1, 2) == Surd(0, Fraction(3, 2), 5)
     # dividing a rational by a surd rationalizes the denominator
     assert 1 / Surd(1, 1, 2) == Surd(-1, 1, 2)
+    assert +s is s
+    with pytest.raises(ZeroDivisionError):
+        s / 0
+    # a float is not exact: every operator declines it in both orders
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(s, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, s)
+    with pytest.raises(TypeError):
+        s**1.5
 
 
 def test_surd_plus_conjugate_is_rational():
@@ -198,6 +210,7 @@ def test_demotion_to_fraction():
     assert x + y == Fraction(5)
     assert isinstance(x + y, Fraction)
     assert isinstance(x - x, Fraction)
+    assert x * 0 == 0 and isinstance(x * 0, Fraction)
 
 
 def primorial_radicand() -> int:
@@ -241,6 +254,9 @@ def test_comparisons():
     assert Surd(0, 1, 2) < Fraction(3, 2)
     assert Surd(0, 1, 2) > 1
     assert Surd(-1, 1, 2) < Surd(0, 1, 2)
+    assert Surd(0, 1, 2) <= Surd(0, 1, 2) <= 2
+    assert Surd(0, 1, 2) >= Surd(0, 1, 2) >= 1
+    assert not Surd(0, 1, 2) <= 1 and not Surd(0, 1, 2) >= 2
     assert sorted([Surd(0, 1, 2), Fraction(1), Surd(0, 1, 2) - 1]) == [
         Surd(0, 1, 2) - 1,
         Fraction(1),

@@ -25,6 +25,7 @@ from arctanforge import (
     verify_exact,
     verify_numeric,
 )
+from arctanforge import fixedpoint
 from arctanforge.engine import atan_series_split
 from arctanforge.fixedpoint import FixedPointContext, _atan_series, _floor, pi_interval
 from arctanforge.odot import NormalAngle
@@ -55,7 +56,7 @@ def test_exact_wrong_identity_reports_actual():
     assert not v.holds
     # 2*atan(1/2) + atan(1/3) lands on arctan(3), off the quarter lattice
     assert v.actual.to_pi_multiple() is None
-    assert v.actual.same_angle(NormalAngle(Fraction(3), 0))
+    assert v.actual.canonical() == NormalAngle(Fraction(3), 0).canonical()
     assert v.claimed_rhs == Fraction(1, 4)
 
 
@@ -189,6 +190,15 @@ def test_precision_must_be_an_int():
     for digits in (10.5, 20.0, True, Fraction(20)):
         with pytest.raises(InvalidArgumentError):
             verify_numeric(NEWTON, digits)
+
+
+def test_pi_bootstrap_is_proved_before_use(monkeypatch):
+    # the interval pi rests on an identity the exact fold must prove first
+    fixedpoint._prove_pi_bootstrap.cache_clear()
+    monkeypatch.setattr(fixedpoint, "_PI_BOOTSTRAP", ((5, Fraction(1, 7)), (2, Fraction(3, 80))))
+    with pytest.raises(RuntimeError, match="bootstrap"):
+        fixedpoint._prove_pi_bootstrap()
+    fixedpoint._prove_pi_bootstrap.cache_clear()
 
 
 def test_numeric_indeterminate_band():
