@@ -287,7 +287,8 @@ def atan_series_split(p: int, q: int, digits: int, num=int):
     # exactly from a float estimate below it
     la, lq = math.log10(a), math.log10(q)
     n = max(1, math.floor((decimals + la - lq) / (math.log10(r) - 2 * la)) - 1)
-    x, y = 10**decimals * a ** (2 * n + 1), q * r**n
+    unit = 10**digits  # built once: the term test and the final floor share it
+    x, y = unit * 10**SPLIT_GUARD * a ** (2 * n + 1), q * r**n
     while x >= y:
         n, x, y = n + 1, x * a2, y * r
     # the root keeps digits + 20 + len(str(n)) digits
@@ -296,7 +297,7 @@ def atan_series_split(p: int, q: int, digits: int, num=int):
         room = room * 3322 // 1000 + 1  # 3.322 > log2(10)
     with localcontext(EXACT):
         _, big_q, big_t = _split(a, q, 0, n, num, room)
-        top = big_t * 10**digits if num is int else big_t.scaleb(digits)
+        top = big_t * unit if num is int else big_t.scaleb(digits)
         # a floor on ints and a truncation toward zero on Decimal
         return (top if p > 0 else -top) // big_q
 

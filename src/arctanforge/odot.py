@@ -12,8 +12,17 @@ then add up to an integer number of half-turns:
 arctan(t) + h*(pi/2), so the singular right angles stay representable while
 plain Values never have to encode an infinite tangent.  With that, angles
 are an abelian group: ``A + B`` applies the rule above with the winding
-count tracked exactly, and ``n * A`` is double-and-add, so folding a term
-coeff*arctan(arg) costs O(log|coeff|) additions.
+count tracked exactly, on two rational tangents a/b and c/d as the integer
+quotient (ad + bc)/(bd - ac), reduced once.
+
+``n * A`` with a rational tangent p/q other than +-1 is the argument of the
+Gaussian integer (q + ip)^n, powered by squaring on plain ints with its
+quarter turns counted (``sequences._gauss_pow``), then reduced once; a
+rational angle is the argument of a Gaussian integer (Todd, "A problem on
+arc tangent relations", Amer. Math. Monthly 1949).  Surd tangents and +-1
+take double-and-add, O(log|n|) additions.  Both give the same (t, h): t is
+the tangent of n*arctan(t) written with an even half-turn count, and n
+times the input's h is added to that count.
 
 Powers under the product reduce to the u/v sequences:
 
@@ -37,7 +46,7 @@ from .errors import (
     UnsupportedRadicalError,
     check_int,
 )
-from .sequences import uv_coefficients
+from .sequences import _gauss_pow, uv_coefficients
 from .values import Surd, Value, _Record, _set, as_value, format_value, value_sign, value_sqrt
 
 __all__ = [
@@ -142,21 +151,33 @@ class NormalAngle(_Record):
         s, y, h = self.t, other.t, self.h + other.h
         if s == 0:
             return NormalAngle(y, h)
-        denom = 1 - s * y
-        c = value_sign(denom)
+        if isinstance(s, Fraction) and isinstance(y, Fraction):
+            a, b, c, d = s.numerator, s.denominator, y.numerator, y.denominator
+            num, denom = Fraction(a * d + b * c), Fraction(b * d - a * c)
+        else:
+            num, denom = s + y, 1 - s * y
+        c = value_sign(denom)  # the sign of 1 - s*y
         if c == 0:  # s*y = 1: an exact right angle
             return NormalAngle(Fraction(0), h + value_sign(s))
         if c < 0:  # s*y > 1: s and y share a sign, jump a half-turn
             h += 2 * value_sign(s)
-        return NormalAngle((s + y) / denom, h)
+        return NormalAngle(num / denom, h)
 
     def __neg__(self) -> "NormalAngle":
         return NormalAngle(-self.t, -self.h)
 
     def __rmul__(self, n: int) -> "NormalAngle":
-        """n copies of the angle by double-and-add: O(log|n|) additions."""
+        """n copies of the angle: a Gaussian power for a rational tangent
+        other than +-1, else double-and-add."""
         if not isinstance(n, int):
             return NotImplemented
+        t = self.t
+        if isinstance(t, Fraction) and abs(t.numerator) != t.denominator:
+            p = t.numerator if n > 0 else -t.numerator
+            a, b, k = _gauss_pow(t.denominator, p, abs(n))
+            if k % 2:  # an even count: the quarter turn goes into -a/b
+                a, b, k = -b, a, k + (1 if b > 0 else -1)
+            return NormalAngle(Fraction(b, a), k + n * self.h)
         if n < 0:
             return (-n) * (-self)
         if n == 0:

@@ -1,9 +1,19 @@
 """The coupled u/v tangent-numerator pair and the golden-mean powers.
 
 The pair (u_n(x), v_n(x)) is the numerator and denominator data of n-fold
-arctangent addition, u_n + i*v_n = (x + i)^n, which ``uv_pair`` powers by
-squaring; ``uv_coefficients`` gives the same polynomials as binomial
-coefficient lists.
+arctangent addition, u_n + i*v_n = (x + i)^n; ``uv_coefficients`` gives the
+same polynomials as binomial coefficient lists.
+
+One squaring loop, ``_gauss_pow``, raises a Gaussian pair re + i*im to the
+n-th power, on plain ints with no gcd where the pair is integral.
+``uv_pair`` takes it to (x + i)^n, and ``NormalAngle`` to
+c*arctan(p/q) = arg((q + ip)^c).  For the angle, with re > 0, the loop
+turns the pair by quarter turns after each product until -re < im <= re,
+and counts them in h.  That keeps the invariant
+j*arg(z) = arg(pair) + h*pi/2 exact, with no 2*pi lost: squaring an
+argument in (-pi/4, pi/4] gives one in (-pi/2, pi/2], and one factor z,
+whose argument lies in (-pi/2, pi/2), leaves it inside (-pi, pi), from
+where at most two quarter turns bring it back.
 
 Lucas numbers and the golden-mean powers feed the golden-ratio
 identities: phi^m = (L_m + F_m*sqrt(5)) / 2.  The Fibonacci numbers F_m
@@ -41,17 +51,35 @@ class UVPair(_Record):
 def uv_pair(n: int, x) -> UVPair:
     """(u_n, v_n) as the real and imaginary parts of (x + i)^n.
 
-    Left-to-right binary powering: square, then multiply by x + i on each
-    set bit of n, so O(log n) complex multiplications.
+    For x = p/q that is (p + iq)^n / q^n: one integer power and one
+    reduction per part.  A surd x runs the same loop on Values, with q = 1.
     """
     check_int(n, "n", 0)
     x = as_value(x, "x")
-    u, v = Fraction(1), Fraction(0)
+    p, q = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+    u, v, _ = _gauss_pow(p, q, n, turn=False)
+    scale = Fraction(q**n)
+    return UVPair(u / scale, v / scale, n, x)
+
+
+def _gauss_pow(re, im, n: int, turn: bool = True):
+    """(a, b, h) with (re + i*im)^n = i^h * (a + i*b) by left-to-right
+    squaring; h = 0 without `turn`.
+
+    With `turn` and re > 0, -a < b <= a, and n*arg(re + i*im) =
+    arg(a + i*b) + h*pi/2 holds exactly (see the module docstring).
+    """
+    a, b, h = 1, 0, 0
     for bit in bin(n)[2:]:
-        u, v = u * u - v * v, 2 * u * v
+        a, b, h = a * a - b * b, 2 * a * b, 2 * h
         if bit == "1":
-            u, v = x * u - v, u + x * v
-    return UVPair(u, v, n, x)
+            a, b = a * re - b * im, a * im + b * re
+        while turn and not -a < b <= a:  # a quarter turn towards arg 0
+            if b > 0:  # clockwise: times -i
+                a, b, h = b, -a, h + 1
+            else:  # counterclockwise: times i
+                a, b, h = -b, a, h - 1
+    return a, b, h
 
 
 def uv_coefficients(n: int) -> tuple[list[int], list[int]]:

@@ -7,6 +7,9 @@
   Lucas and Fibonacci numbers all satisfy.
 * The binomial expansion of (x + i)^n evaluated by Horner, against the
   package's powering by squaring.
+* Angle sums by the tangent rule on Fractions and multiples by
+  double-and-add over it, against the package's integer cross-product and
+  its Gaussian-integer powers.
 * The partial sum of Euler's arctangent series by Horner's rule on one
   integer fraction, against the digit engine's capped product tree.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from arctanforge.fixedpoint import FixedPointContext, pi_interval
-from arctanforge.odot import _check_pow_args
+from arctanforge.odot import NormalAngle, _check_pow_args
 from arctanforge.sequences import UVPair, uv_coefficients
 from arctanforge.values import Value, as_value
 
@@ -128,6 +131,49 @@ def uv_closed(n: int, x) -> UVPair:
     for a, b in zip(reversed(cu), reversed(cv)):
         u, v = u * x + a, v * x + b
     return UVPair(u, v, n, x)
+
+
+def angle_sum(x: NormalAngle, y: NormalAngle) -> NormalAngle:
+    """x + y on rational tangents s and t: (s + t)/(1 - s*t) in Fractions,
+    a half-turn more where s*t > 1 and a right angle where s*t = 1."""
+    s, t, h = x.t, y.t, x.h + y.h
+    if s == 0:
+        return NormalAngle(t, h)
+    sign = 1 if s > 0 else -1
+    st = s * t
+    if st == 1:
+        return NormalAngle(Fraction(0), h + sign)
+    if st > 1:
+        h += 2 * sign
+    return NormalAngle((s + t) / (1 - st), h)
+
+
+def _reduced_sum(s: Fraction, t: Fraction, h: int) -> tuple[Fraction, int]:
+    # the rule of angle_sum on numerators and denominators, with the one
+    # reduction per sum that Fraction arithmetic makes
+    a, b, c, d = s.numerator, s.denominator, t.numerator, t.denominator
+    if a == 0:
+        return t, h
+    sign = 1 if a > 0 else -1
+    den = b * d - a * c  # b*d*(1 - s*t)
+    if den == 0:
+        return Fraction(0), h + sign
+    if den < 0:
+        h += 2 * sign
+    return Fraction(a * d + b * c, den), h
+
+
+def angle_multiple(n: int, x: NormalAngle) -> NormalAngle:
+    """n*x by left-to-right double-and-add, reducing after every sum."""
+    if n == 0:
+        return NormalAngle(Fraction(0), 0)
+    t, h = (x.t, x.h) if n > 0 else (-x.t, -x.h)
+    acc = t, h
+    for bit in bin(abs(n))[3:]:
+        acc = _reduced_sum(acc[0], acc[0], 2 * acc[1])
+        if bit == "1":
+            acc = _reduced_sum(acc[0], t, acc[1] + h)
+    return NormalAngle(*acc)
 
 
 def euler_partial_floor(p: int, q: int, n: int, digits: int) -> int:

@@ -239,6 +239,14 @@ def test_verify_json_payload(tmp_path, capsys):
     assert rows[0]["holds"] is False and rows[0]["actual"] is None
 
 
+def test_verify_golden_document(capsys):
+    # a benchmark document (seed 1) against the exact verdicts the
+    # double-and-add fold printed: every actual angle and every failing line
+    data = Path(__file__).resolve().parent / "data"
+    assert run(["verify", "--exact", "--json", "--file", str(data / "verify_seed1.txt")]) == 1
+    assert capsys.readouterr().out == (data / "verify_seed1.exact.json").read_text()
+
+
 def test_verify_mode_flags_conflict(tmp_path):
     f = tmp_path / "ids.txt"
     f.write_text("atan(1) = 1/4*pi\n")

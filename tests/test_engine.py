@@ -27,6 +27,7 @@ from arctanforge import (
     half_turn,
     lehmer_measure,
     machin_pair,
+    parse_identity,
     pi_digits,
     quad_reduce,
     surd_normalize,
@@ -312,6 +313,14 @@ def reference_decimals(count: int) -> str:
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
     return "3." + reference.pi_decimals(count)
+
+
+def test_pi_digits_of_machin_with_large_coefficients():
+    # the exact check that opens the run folds (5 + i)^4000 and (239 + i)^1000
+    ident = parse_identity("4000*atan(1/5) - 1000*atan(1/239) = 250*pi")
+    result = pi_digits(ident, 300)
+    assert result.digits == reference_decimals(300)
+    assert not result.unrounded
 
 
 def test_pi_digits_from_surd_identities():

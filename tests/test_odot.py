@@ -24,6 +24,7 @@ from arctanforge import (
     value_sign,
 )
 from arctanforge.odot import _PI_MULTIPLES, ZERO_ANGLE
+from oracles import angle_multiple, angle_sum
 
 
 def rnd_fraction(rng, span=20):
@@ -331,3 +332,37 @@ def test_angle_group_laws():
         a + Fraction(1, 2)
     with pytest.raises(TypeError):
         Fraction(1, 2) * a
+
+
+def test_fold_matches_double_and_add_oracle():
+    # rational tangents up to 5 in size, 0 and +-1 among them, against the
+    # Fraction tangent rule and double-and-add that the fold replaced
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(5000):
+        q = rng.randint(1, 6)
+        a = NormalAngle(Fraction(rng.randint(-5 * q, 5 * q), q), rng.randint(-3, 3))
+        b = NormalAngle(Fraction(rng.randint(-5 * q, 5 * q), q), rng.randint(-3, 3))
+        n = rng.randint(-300, 300)
+        seen.add(min(abs(a.t), 2))
+        want = angle_multiple(n, a)
+        got = n * a
+        assert (got.t, got.h) == (want.t, want.h), (n, a)
+        assert a + b == angle_sum(a, b), (a, b)
+    assert {0, 1, 2} <= seen
+
+
+def test_fold_power_reduces_once(monkeypatch):
+    # the Gaussian power runs on ints; double-and-add made 121 gcd calls here
+    calls = []
+    gcd = math.gcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    angle = 4963 * NormalAngle(Fraction(1, 5), 0)
+    monkeypatch.undo()
+    assert len(calls) <= 3
+    assert angle == angle_multiple(4963, NormalAngle(Fraction(1, 5), 0))

@@ -58,6 +58,17 @@ def test_uv_closed_matches_pair():
             assert (cp.u, cp.v) == (cl.u, cl.v), (n, x)
 
 
+def test_uv_pair_matches_binomial_expansion_on_both_fields():
+    # one Gaussian power serves both fields: ints for x = p/q, Values for a
+    # surd, and x <= 0 starts it outside the first quadrant
+    rng = random.Random(60)
+    xs = [Fraction(0), Fraction(-1), Fraction(7, 2), Fraction(-2, 9), rnd_fraction(rng)]
+    xs += [Surd(1, 1, 5), Surd(Fraction(-1, 2), Fraction(1, 3), 7), Surd(0, -1, 2)]
+    for n in range(61):
+        for x in xs:
+            assert uv_pair(n, x) == uv_closed(n, x), (n, x)
+
+
 def test_uv_norm_identity():
     rng = random.Random(29)
     for n in range(21):

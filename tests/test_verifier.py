@@ -228,6 +228,14 @@ def test_exact_and_numeric_agree_on_grid():
             assert verify_numeric(m, digits=20).holds
 
 
+def test_verify_exact_machin_with_large_coefficients():
+    # Machin times 10^4 folds on Gaussian powers of about 10^5 bits
+    ident = parse_identity("40000*atan(1/5) - 10000*atan(1/239) = 2500*pi")
+    assert verify_exact(ident).holds
+    moved = parse_identity("40001*atan(1/5) - 10000*atan(1/239) = 2500*pi")
+    assert not verify_exact(moved).holds
+
+
 def test_three_routes_agree_on_machin_pairs():
     # the fold, the interval verdict and the digits agree on seeded
     # machin_pair identities, and a right side moved by a quarter turn
