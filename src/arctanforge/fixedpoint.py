@@ -55,7 +55,7 @@ from math import isqrt
 
 from .errors import check_int
 from .odot import NormalAngle, fold_terms
-from .values import Surd, Value, as_value
+from .values import Surd, Value, _ints, as_value
 
 # (coeff, arg) terms of Euler's identity, summing to pi/4.
 _PI_BOOTSTRAP = ((5, Fraction(1, 7)), (2, Fraction(3, 79)))
@@ -66,15 +66,13 @@ Interval = tuple[int, int]
 def _floor(v: Value, scale: int) -> int:
     """floor(v*scale), exactly.
 
-    A surd is (A + B*sqrt(d))/D over integers; B*sqrt(d) is irrational, so
+    A surd is (A + B*sqrt(d))/C over integers; B*sqrt(d) is irrational, so
     replacing it by its floor leaves the floor of the quotient unchanged.
     """
     if isinstance(v, Surd):
-        den = v.a.denominator * v.b.denominator
-        a = v.a.numerator * v.b.denominator * scale
-        b = v.b.numerator * v.a.denominator * scale
-        root = isqrt(b * b * v.d)
-        return (a + (root if b > 0 else -root - 1)) // den
+        A, B, C = _ints(v)
+        root = isqrt((B * scale) ** 2 * v.d)
+        return (A * scale + (root if B > 0 else -root - 1)) // C
     return v.numerator * scale // v.denominator
 
 

@@ -31,7 +31,7 @@ from .errors import (
     check_int,
 )
 from .odot import NormalAngle, _check_pow_args, fold_terms
-from .sequences import lucas, phi_power, uv_pair
+from .sequences import phi_power, uv_pair
 from .values import Surd, Value, _Record, _set, as_value, format_value, value_sign, value_sqrt
 
 __all__ = [
@@ -140,15 +140,15 @@ def golden_family(kind: str, k: int) -> Identity:
     if kind not in GOLDEN_KINDS:
         raise InvalidArgumentError(f"unknown kind {kind!r}; expected one of {GOLDEN_KINDS}")
     m = 2 * k + (kind != "even")
+    phi = phi_power(m)  # (L + F*sqrt(5))/2 with L = L_m, a Surd as m >= 1
     if kind in ("odd", "even"):
-        return quad_reduce(lucas(m), (-1) ** m, phi_power(m))
-    half = Fraction(lucas(m), 2)
+        return quad_reduce(int(2 * phi.a), (-1) ** m, phi)
     if kind == "only_lucas":
-        return diff_identity(half)
+        return diff_identity(phi.a)
     if kind == "lucas_minus":
-        terms = (ArctanTerm(1, half), ArctanTerm(-2, phi_power(m)))
+        terms = (ArctanTerm(1, phi.a), ArctanTerm(-2, phi))
     else:
-        terms = (ArctanTerm(1, half), ArctanTerm(2, 1 / phi_power(m)))
+        terms = (ArctanTerm(1, phi.a), ArctanTerm(2, 1 / phi))
     return Identity(terms, _rhs_from_fold(terms))
 
 

@@ -62,6 +62,16 @@ def _text_int(digits: str) -> int:
 _set = object.__setattr__  # fills a record's slots past its __setattr__
 
 
+def _repr(v) -> str:
+    """repr(v) with every int and Fraction, also inside tuples, written by
+    _int_text, so that no field size reaches the int-str limit."""
+    if isinstance(v, tuple):
+        return "(" + ", ".join(map(_repr, v)) + ("," if len(v) == 1 else "") + ")"
+    if isinstance(v, Fraction):
+        return f"Fraction({_int_text(v.numerator)}, {_int_text(v.denominator)})"
+    return _int_text(v) if isinstance(v, int) else repr(v)
+
+
 class _Record:
     """Base of the package's immutable records: a plain class, so defining
     one compiles no generated methods, as a frozen dataclass would.
@@ -88,7 +98,7 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -241,19 +251,17 @@ class Surd(_Record):
             return NotImplemented
         if isinstance(other, Fraction):
             return _make(self.a * other, self.b * other, self.d)
-        return _make(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
+        (A, B, C), (X, Y, Z), d = _ints(self), _ints(other), self.d
+        return _make(Fraction(A * X + B * Y * d, C * Z), Fraction(A * Y + B * X, C * Z), d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        # 1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - b^2 d); the norm is
-        # never zero because sqrt(d) is irrational and b != 0.
-        norm = self.a * self.a - self.b * self.b * self.d
-        return _surd(self.a / norm, -self.b / norm, self.d)
+        # C/(A + B*sqrt(d)) = C*(A - B*sqrt(d)) / (A^2 - B^2 d); the norm is
+        # never zero because sqrt(d) is irrational and B != 0.
+        A, B, C = _ints(self)
+        norm = A * A - B * B * self.d
+        return _surd(Fraction(C * A, norm), Fraction(-C * B, norm), self.d)
 
     def __truediv__(self, other) -> Value:
         other = self._coerce(other)
@@ -288,13 +296,13 @@ class Surd(_Record):
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        sa = _fraction_sign(self.a)
-        sb = _fraction_sign(self.b)
-        if sa == sb or sa == 0:
+        A, B, _ = _ints(self)
+        sb = 1 if B > 0 else -1
+        if A * sb >= 0:
             return sb
-        # Opposite signs: compare a^2 against b^2 d.  Equality would force
+        # Opposite signs: compare A^2 against B^2 d.  Equality would force
         # sqrt(d) rational, impossible for squarefree d >= 2.
-        return sa if self.a * self.a > self.b * self.b * self.d else sb
+        return -sb if A * A > B * B * self.d else sb
 
     def _cmp(self, other) -> int:
         diff = self - other
@@ -326,12 +334,11 @@ class Surd(_Record):
 Value = Fraction | Surd
 
 
-def _fraction_sign(q: Fraction) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
+def _ints(s: Surd) -> tuple[int, int, int]:
+    """Ints (A, B, C), C > 0, with s = (A + B*sqrt(d))/C: the one integer
+    form that the exact surd primitives read."""
+    a, b = s.a, s.b
+    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
 
 def _ratio(v: Value) -> tuple[int, int]:
@@ -345,9 +352,7 @@ def _ratio(v: Value) -> tuple[int, int]:
     """
     if not isinstance(v, Surd):
         return v.numerator, v.denominator
-    A = v.a.numerator * v.b.denominator
-    B = v.b.numerator * v.a.denominator
-    C = v.a.denominator * v.b.denominator
+    A, B, C = _ints(v)
     X = (abs(A) << 64) + math.isqrt(B * B * v.d << 128)
     if A * B >= 0:
         return (X if B > 0 else -X), C << 64
@@ -415,7 +420,8 @@ def value_sign(x: Value) -> int:
     """Exact sign in {-1, 0, +1}, decided without floating point."""
     if isinstance(x, Surd):
         return x.sign()
-    return _fraction_sign(as_value(x, "x"))
+    x = as_value(x, "x")
+    return (x > 0) - (x < 0)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -440,19 +446,16 @@ def value_sqrt(x: Value) -> Value:
         raise UnsupportedRadicalError("negative radicand")
     if isinstance(x, Surd):
         # Solve (c + e*sqrt(d))^2 = a + b*sqrt(d) over the rationals:
-        # c^2 + e^2 d = a and 2ce = b, so c^2 is a root of 4t^2 - 4at + b^2 d.
+        # c^2 + e^2 d = a and 2ce = b, so c^2 is a root t of 4t^2 - 4at + b^2 d.
+        # t = 0 would make b zero, so any rational c = sqrt(t) > 0 with
+        # e = b/(2c) solves both, and the root is c + e*sqrt(d) up to sign.
         disc = _fraction_sqrt(x.a * x.a - x.b * x.b * x.d)
         if disc is not None:
-            for c2 in ((x.a + disc) / 2, (x.a - disc) / 2):
-                c = _fraction_sqrt(c2)
-                if c is None or c == 0:
-                    continue
-                for cc in (c, -c):
-                    e = x.b / (2 * cc)
-                    if cc * cc + e * e * x.d == x.a:
-                        root = _make(cc, e, x.d)
-                        if value_sign(root) >= 0:
-                            return root
+            for t in ((x.a + disc) / 2, (x.a - disc) / 2):
+                c = _fraction_sqrt(t)
+                if c is not None:
+                    root = _surd(c, x.b / (2 * c), x.d)
+                    return root if root.sign() > 0 else -root
         raise UnsupportedRadicalError(
             f"sqrt of {format_value(x)} does not lie in Q(sqrt({_int_text(x.d)}))"
         )

@@ -12,6 +12,8 @@
   its Gaussian-integer powers.
 * The partial sum of Euler's arctangent series by Horner's rule on one
   integer fraction, against the digit engine's capped product tree.
+* Sign, inverse and product of surds as chains of Fraction products on the
+  parts a and b, against the package's one integer form (A + B*sqrt(d))/C.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from arctanforge.fixedpoint import FixedPointContext, pi_interval
 from arctanforge.odot import NormalAngle, _check_pow_args
 from arctanforge.sequences import UVPair, uv_coefficients
-from arctanforge.values import Value, as_value
+from arctanforge.values import Surd, Value, as_value, surd_normalize
 
 
 @dataclass(frozen=True)
@@ -185,3 +187,23 @@ def euler_partial_floor(p: int, q: int, n: int, digits: int) -> int:
     for k in range(n - 1, 0, -1):
         num, den = den * (2 * k + 1) * r + num * 2 * k * pp, den * (2 * k + 1) * r
     return p * q * num * 10**digits // (r * den)
+
+
+def surd_sign(x: Surd) -> int:
+    """Sign of a + b*sqrt(d) from the signs of a and b, and a*a against
+    b*b*d in Fractions when they differ."""
+    sa, sb = (x.a > 0) - (x.a < 0), (x.b > 0) - (x.b < 0)
+    if sa == sb or sa == 0:
+        return sb
+    return sa if x.a * x.a > x.b * x.b * x.d else sb
+
+
+def surd_inverse(x: Surd) -> Value:
+    """1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a*a - b*b*d) in Fractions."""
+    norm = x.a * x.a - x.b * x.b * x.d
+    return surd_normalize(x.a / norm, -x.b / norm, x.d)
+
+
+def surd_product(x: Surd, y: Surd) -> Value:
+    """(a + b*sqrt(d))(c + e*sqrt(d)) = (ac + be*d) + (ae + bc)*sqrt(d)."""
+    return surd_normalize(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)

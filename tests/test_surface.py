@@ -47,10 +47,12 @@ from arctanforge import (
     uv_pair,
     value_sign,
     value_sqrt,
+    verify_exact,
     verify_numeric,
 )
 from arctanforge.fixedpoint import FixedPointContext
 from arctanforge.sequences import UVPair, uv_coefficients
+from arctanforge.values import _int_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -286,6 +288,48 @@ def test_record_defaults():
     verdict = Verdict(True, ANGLE, Fraction(1, 4))
     assert verdict.numeric_residual is None and verdict.indeterminate is False
     assert verdict == Verdict(holds=True, actual=ANGLE, claimed_rhs=Fraction(1, 4))
+
+
+def _field_repr(record) -> str:
+    # repr as built from each field's own repr, for values below the
+    # int-str limit
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
+    return f"{record.__class__.__qualname__}({fields})"
+
+
+def test_record_repr_of_large_values():
+    term = ArctanTerm(-3, Fraction(1, 7))
+    small = [
+        term,
+        MACHIN,
+        Identity((term,), Fraction(1, 4)),
+        IdentityDocument(((MACHIN, (("k", "1"), ("name", "x"))), (Identity((term,), 0), None))),
+        IdentityDocument(()),
+        Verdict(False, ANGLE, Fraction(-2, 3), "1e-5", True),
+        DigitResult("3.14", MACHIN, 0.25),
+        uv_pair(5, Surd(1, Fraction(2, 3), 5)),
+        root_poly(3, Fraction(1, 2)),
+    ]
+    for record in small:
+        assert repr(record) == _field_repr(record)
+    # past the int-str limit every int and Fraction prints in full, also
+    # inside a tuple of terms or of document entries
+    tiny = Fraction(1, 7**6000)
+    text = f"Fraction(1, {_int_text(7**6000)})"
+    big = ArctanTerm(1, tiny)
+    for record in (
+        big,
+        Identity((term, big), 0),
+        IdentityDocument(((Identity((big,), 0), None),)),
+        surd_normalize(tiny, 1, 2),
+        NormalAngle(tiny, 0),
+    ):
+        assert text in repr(record)
+    pair = uv_pair(9000, 7)
+    u, v = _int_text(pair.u.numerator), _int_text(pair.v.numerator)
+    assert f"u=Fraction({u}, 1), v=Fraction({v}, 1), n=9000" in repr(pair)
+    verdict = verify_exact(parse_identity("20000*atan(1/7) = 1*pi"))
+    assert _int_text(verdict.actual.t.denominator) in repr(verdict)
 
 
 def test_import_generates_no_code():

@@ -21,6 +21,7 @@ from arctanforge import (
     value_sqrt,
 )
 from arctanforge.values import _int_text, _is_prime, _squarefree_decompose, _text_int, as_value
+from oracles import surd_inverse, surd_product, surd_sign
 
 
 def rnd_fraction(rng, span=50):
@@ -302,6 +303,50 @@ def test_value_sqrt_squares_roundtrip():
         root = value_sqrt(sq)
         assert root * root == sq
         assert value_sign(root) >= 0
+
+
+def _pell_unit(d: int) -> tuple[int, int]:
+    # (A, B) with A*A - d*B*B = +-1 and A above 300 digits: a power of the
+    # fundamental unit of Z[sqrt(d)]
+    x, y = {2: (1, 1), 3: (2, 1), 5: (2, 1), 6: (5, 2), 7: (8, 3)}[d]
+    A, B = x, y
+    while A < 10**300:
+        A, B = A * x + d * B * y, A * y + B * x
+    assert abs(A * A - d * B * B) == 1
+    return A, B
+
+
+def test_integer_form_matches_fraction_oracles():
+    rng = random.Random(2024)
+    for d in (2, 3, 5, 6, 7):
+        A, B = _pell_unit(d)
+        tiny = Fraction(1, 10**700)  # far below |A - B*sqrt(d)| ~ 10**-300
+        pell = [
+            Surd(A, -B, d),
+            Surd(-A, B, d),
+            Surd(Fraction(A, 3), Fraction(-B, 3), d),
+            Surd(Fraction(-A, 11) + tiny, Fraction(B, 11), d),  # unequal denominators
+            Surd(Fraction(A, 11) - tiny, Fraction(-B, 11), d),
+            Surd(A, B, d),
+        ]
+        mixed = []
+        while len(mixed) < 40:
+            a = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**4))
+            if a.denominator != b.denominator:
+                mixed.append(Surd(a, b, d))
+        cases = pell + mixed
+        for x in cases:
+            assert x.sign() == value_sign(x) == surd_sign(x)
+            assert x.inverse() == surd_inverse(x)
+        for x in cases:
+            # Pell pairs include x times its conjugate, which is rational
+            for y in pell + rng.sample(mixed, 5):
+                assert x * y == surd_product(x, y)
+        for x in pell[:3] + mixed[:10]:
+            assert value_sqrt(x * x) == abs(x)
+            with pytest.raises(UnsupportedRadicalError):  # sqrt(11) is not in Q(sqrt(d))
+                value_sqrt(11 * x * x)
 
 
 def test_str_and_float():
