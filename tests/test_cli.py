@@ -240,11 +240,12 @@ def test_verify_json_payload(tmp_path, capsys):
 
 
 def test_verify_golden_document(capsys):
-    # a benchmark document (seed 1) against the exact verdicts the
+    # the benchmark documents (seeds 1-3) against the exact verdicts the
     # double-and-add fold printed: every actual angle and every failing line
     data = Path(__file__).resolve().parent / "data"
-    assert run(["verify", "--exact", "--json", "--file", str(data / "verify_seed1.txt")]) == 1
-    assert capsys.readouterr().out == (data / "verify_seed1.exact.json").read_text()
+    for seed in (1, 2, 3):
+        assert run(["verify", "--exact", "--json", "--file", str(data / f"verify_seed{seed}.txt")]) == 1
+        assert capsys.readouterr().out == (data / f"verify_seed{seed}.exact.json").read_text(), seed
 
 
 def test_verify_mode_flags_conflict(tmp_path):
