@@ -66,14 +66,12 @@ Interval = tuple[int, int]
 def _floor(v: Value, scale: int) -> int:
     """floor(v*scale), exactly.
 
-    A surd is (A + B*sqrt(d))/C over integers; B*sqrt(d) is irrational, so
+    v is (A + B*sqrt(d))/C over integers; B*sqrt(d) is 0 or irrational, so
     replacing it by its floor leaves the floor of the quotient unchanged.
     """
-    if isinstance(v, Surd):
-        A, B, C = _ints(v)
-        root = isqrt((B * scale) ** 2 * v.d)
-        return (A * scale + (root if B > 0 else -root - 1)) // C
-    return v.numerator * scale // v.denominator
+    A, B, C, d = _ints(v)
+    root = isqrt((B * scale) ** 2 * d)
+    return (A * scale + (root if B >= 0 else -root - 1)) // C
 
 
 def _pair(t: Value, scale: int) -> tuple[int, int, int]:

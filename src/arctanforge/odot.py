@@ -8,21 +8,14 @@ then add up to an integer number of half-turns:
     arctan(x) + arctan(y) = arctan(x (*) y) + sign(x)*pi   if x*y > 1
     arctan(x) + arctan(y) = sign(x)*pi/2               if x*y = 1
 
-:class:`NormalAngle` carries the pair (t, h) for the angle
-arctan(t) + h*(pi/2), so the singular right angles stay representable while
-plain Values never have to encode an infinite tangent.  With that, angles
-are an abelian group: ``A + B`` applies the rule above with the winding
-count tracked exactly, on two rational tangents a/b and c/d as the integer
-quotient (ad + bc)/(bd - ac), reduced once.
-
-``n * A`` with a rational tangent p/q other than +-1 is the argument of the
-Gaussian integer (q + ip)^n, powered by squaring on plain ints with its
-quarter turns counted (``sequences._gauss_pow``), then reduced once; a
-rational angle is the argument of a Gaussian integer (Todd, "A problem on
-arc tangent relations", Amer. Math. Monthly 1949).  Surd tangents and +-1
-take double-and-add, O(log|n|) additions.  Both give the same (t, h): t is
-the tangent of n*arctan(t) written with an even half-turn count, and n
-times the input's h is added to that count.
+:class:`NormalAngle` carries (t, h) for arctan(t) + h*(pi/2).  With
+t = (A + B*sqrt(d))/C, C > 0, arctan(t) is the argument of
+C + i(A + B*sqrt(d)) (Todd, Amer. Math. Monthly 1949), so angles are
+Gaussian pairs over Z[sqrt(d)] with counted quarter turns
+(``sequences._gauss_pow``): ``n * A`` is a power, ``A + B`` a product and
+``canonical()`` the pair of t turned.  ``_angle`` reduces once, to an even
+turn count unless at a right angle, as the rule above does; n*A adds n*h.
+t = +-1 has a closed form.
 
 Powers under the product reduce to the u/v sequences:
 
@@ -46,8 +39,9 @@ from .errors import (
     UnsupportedRadicalError,
     check_int,
 )
-from .sequences import _gauss_pow, uv_coefficients
-from .values import Surd, Value, _Record, _set, as_value, format_value, value_sign, value_sqrt
+from .sequences import _gauss_mul, _gauss_pow, _turn, uv_coefficients
+from .values import Surd, Value, _field, _ints, _quotient, _Record, _set, _sign, as_value
+from .values import format_value, value_sign, value_sqrt
 
 __all__ = [
     "NormalAngle",
@@ -77,12 +71,11 @@ def odot_pow(x, n: int) -> Value:
 
 
 def _tangent(angle: NormalAngle) -> Value:
-    """tan(arctan(t) + h*(pi/2)): t for even h, -1/t for odd h."""
-    if angle.h % 2 == 0:
-        return angle.t
-    if value_sign(angle.t) == 0:
+    """tan(arctan(t) + h*(pi/2)) of a sum or multiple, whose h is odd only
+    at a right angle."""
+    if angle.h % 2:
         raise RightAngleError("the angle is an odd multiple of pi/2")
-    return -(1 / angle.t)
+    return angle.t
 
 
 def _check_pow_args(x: Value, n: int) -> None:
@@ -125,17 +118,9 @@ class NormalAngle(_Record):
         _set(self, "h", h)
 
     def canonical(self) -> "NormalAngle":
-        t, h = self.t, self.h
-        s = value_sign(t)
-        if s > 0 and value_sign(t - 1) > 0:  # t > 1
-            return NormalAngle(-(1 / t), h + 1)
-        if s < 0:
-            c = value_sign(t + 1)
-            if c < 0:  # t < -1
-                return NormalAngle(-(1 / t), h - 1)
-            if c == 0:  # t = -1
-                return NormalAngle(Fraction(1), h - 1)
-        return self
+        A, B, C, d = _ints(self.t)
+        a, b, k = _turn((C, 0), (A, B), d)
+        return NormalAngle(_quotient(b, a, d), self.h + k) if k else self
 
     def to_pi_multiple(self) -> Fraction | None:
         """r with angle = r*pi, when the angle is such a rational multiple."""
@@ -148,46 +133,27 @@ class NormalAngle(_Record):
     def __add__(self, other: "NormalAngle") -> "NormalAngle":
         if not isinstance(other, NormalAngle):
             return NotImplemented
-        s, y, h = self.t, other.t, self.h + other.h
-        if s == 0:
-            return NormalAngle(y, h)
-        if isinstance(s, Fraction) and isinstance(y, Fraction):
-            a, b, c, d = s.numerator, s.denominator, y.numerator, y.denominator
-            num, denom = Fraction(a * d + b * c), Fraction(b * d - a * c)
-        else:
-            num, denom = s + y, 1 - s * y
-        c = value_sign(denom)  # the sign of 1 - s*y
-        if c == 0:  # s*y = 1: an exact right angle
-            return NormalAngle(Fraction(0), h + value_sign(s))
-        if c < 0:  # s*y > 1: s and y share a sign, jump a half-turn
-            h += 2 * value_sign(s)
-        return NormalAngle(num / denom, h)
+        h = self.h + other.h
+        if self.t == 0:
+            return NormalAngle(other.t, h)
+        (A, B, C, d), (X, Y, Z, e) = _ints(self.t), _ints(other.t)
+        d = _field(d, e)
+        return _angle(*_turn(*_gauss_mul((C, 0), (A, B), (Z, 0), (X, Y), d), d), h, d)
 
     def __neg__(self) -> "NormalAngle":
         return NormalAngle(-self.t, -self.h)
 
     def __rmul__(self, n: int) -> "NormalAngle":
-        """n copies of the angle: a Gaussian power for a rational tangent
-        other than +-1, else double-and-add."""
+        """n copies of the angle: arg((C + iT)^n) for t = T/C, plus n*h."""
         if not isinstance(n, int):
             return NotImplemented
-        t = self.t
-        if isinstance(t, Fraction) and abs(t.numerator) != t.denominator:
-            p = t.numerator if n > 0 else -t.numerator
-            a, b, k = _gauss_pow(t.denominator, p, abs(n))
-            if k % 2:  # an even count: the quarter turn goes into -a/b
-                a, b, k = -b, a, k + (1 if b > 0 else -1)
-            return NormalAngle(Fraction(b, a), k + n * self.h)
-        if n < 0:
-            return (-n) * (-self)
-        if n == 0:
-            return ZERO_ANGLE
-        acc = self  # left to right: each add takes the small original operand
-        for bit in bin(n)[3:]:
-            acc = acc + acc
-            if bit == "1":
-                acc = acc + self
-        return acc
+        A, B, C, d = _ints(self.t)
+        h, m = n * self.h, abs(n)
+        if B == 0 and abs(A) == C:  # t = +-1: (s, s*(m - 1)/2) or (0, s*m/2)
+            s, r = (A * n > 0) - (A * n < 0), m % 2
+            return NormalAngle(Fraction(s * r), s * (m - r) // 2 + h)
+        T = (A, B) if n >= 0 else (-A, -B)  # the conjugate for n < 0
+        return _angle(*_gauss_pow((C, 0), T, m, d), h, d)
 
     def __float__(self) -> float:
         # the canonical tangent lies in (-1, 1], so its float never overflows
@@ -201,15 +167,24 @@ class NormalAngle(_Record):
 ZERO_ANGLE = NormalAngle(Fraction(0), 0)
 
 
+def _angle(a, b, k: int, h: int, d: int) -> NormalAngle:
+    """arg(a + ib) + (k + h)*pi/2, -a < b <= a, with k made even unless the
+    angle is a right angle, (0, odd)."""
+    if k % 2 and b != (0, 0):  # the quarter turn goes into -a/b
+        a, b, k = (-b[0], -b[1]), a, k + _sign(*b, d)
+    return NormalAngle(_quotient(b, a, d), k + h)
+
+
 def fold_terms(terms: Iterable[tuple[int, Value]]) -> NormalAngle:
     """Fold (coeff, arg) pairs from the zero angle: the sum of the angles
     coeff*arctan(arg), with exact right angles in the half-turn count, so
-    folding is total."""
-    state = ZERO_ANGLE
+    folding is total.  One field must hold all arguments, checked first."""
+    angles, d = [], 0
     for coeff, arg in terms:
         check_int(coeff, "coeff")
-        state = state + coeff * NormalAngle(as_value(arg, "arg"), 0)
-    return state
+        angles.append((coeff, NormalAngle(as_value(arg, "arg"), 0)))
+        d = _field(d, _ints(angles[-1][1].t)[3])
+    return sum((coeff * angle for coeff, angle in angles), ZERO_ANGLE)
 
 
 class OdotPolynomial(_Record):

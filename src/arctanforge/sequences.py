@@ -4,21 +4,19 @@ The pair (u_n(x), v_n(x)) is the numerator and denominator data of n-fold
 arctangent addition, u_n + i*v_n = (x + i)^n; ``uv_coefficients`` gives the
 same polynomials as binomial coefficient lists.
 
-One squaring loop, ``_gauss_pow``, raises a Gaussian pair re + i*im to the
-n-th power, on plain ints with no gcd where the pair is integral.
-``uv_pair`` takes it to (x + i)^n, and ``NormalAngle`` to
-c*arctan(p/q) = arg((q + ip)^c).  For the angle, with re > 0, the loop
-turns the pair by quarter turns after each product until -re < im <= re,
-and counts them in h.  That keeps the invariant
-j*arg(z) = arg(pair) + h*pi/2 exact, with no 2*pi lost: squaring an
+One squaring loop, ``_gauss_pow``, raises re + i*im to the n-th power with
+no gcd, re and im being int pairs (x, y) for x + y*sqrt(d), y = 0 for a
+rational; ``uv_pair`` and ``NormalAngle`` use it and its parts.  For an
+angle, with re > 0, ``_turn`` turns the pair by quarter turns after each
+product until -re < im <= re, and h counts them.  That
+keeps j*arg(z) = arg(pair) + h*pi/2 exact, with no 2*pi lost: squaring an
 argument in (-pi/4, pi/4] gives one in (-pi/2, pi/2], and one factor z,
 whose argument lies in (-pi/2, pi/2), leaves it inside (-pi, pi), from
 where at most two quarter turns bring it back.
 
 Lucas numbers and the golden-mean powers feed the golden-ratio
-identities: phi^m = (L_m + F_m*sqrt(5)) / 2.  The Fibonacci numbers F_m
-have no function of their own; ``phi_power(m)`` carries F_m/2 as its
-sqrt(5) part.
+identities: phi^m = (L_m + F_m*sqrt(5)) / 2, with F_m carried as the
+sqrt(5) part of ``phi_power(m)``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import check_int
-from .values import Value, _Record, _set, as_value, surd_normalize
+from .values import Value, _from_ints, _ints, _mul, _Record, _set, _sign, as_value, surd_normalize
 
 __all__ = [
     "uv_pair",
@@ -49,37 +47,48 @@ class UVPair(_Record):
 
 
 def uv_pair(n: int, x) -> UVPair:
-    """(u_n, v_n) as the real and imaginary parts of (x + i)^n.
-
-    For x = p/q that is (p + iq)^n / q^n: one integer power and one
-    reduction per part.  A surd x runs the same loop on Values, with q = 1.
-    """
+    """(u_n, v_n) as the real and imaginary parts of (x + i)^n, which is
+    ((A + B*sqrt(d)) + iC)^n / C^n for x = (A + B*sqrt(d))/C: one integer
+    power and one reduction per part."""
     check_int(n, "n", 0)
     x = as_value(x, "x")
-    p, q = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
-    u, v, _ = _gauss_pow(p, q, n, turn=False)
-    scale = Fraction(q**n)
-    return UVPair(u / scale, v / scale, n, x)
+    A, B, C, d = _ints(x)
+    u, v, _ = _gauss_pow((A, B), (C, 0), n, d, turn=False)
+    return UVPair(_from_ints(*u, C**n, d), _from_ints(*v, C**n, d), n, x)
 
 
-def _gauss_pow(re, im, n: int, turn: bool = True):
-    """(a, b, h) with (re + i*im)^n = i^h * (a + i*b) by left-to-right
-    squaring; h = 0 without `turn`.
-
-    With `turn` and re > 0, -a < b <= a, and n*arg(re + i*im) =
-    arg(a + i*b) + h*pi/2 holds exactly (see the module docstring).
-    """
-    a, b, h = 1, 0, 0
+def _gauss_pow(re, im, n: int, d: int, turn: bool = True):
+    """(a, b, h) with (re + i*im)^n = i^h * (a + i*b), all over Z[sqrt(d)],
+    by left-to-right squaring; h = 0 without `turn`.  With `turn` and
+    re > 0, -a < b <= a and n*arg(re + i*im) = arg(a + i*b) + h*pi/2."""
+    a, b, h = (1, 0), (0, 0), 0
     for bit in bin(n)[2:]:
-        a, b, h = a * a - b * b, 2 * a * b, 2 * h
+        (x, y), (u, v) = a, b  # (a + ib)^2 = (a + b)(a - b) + 2iab
+        a, (u, v) = _mul((x + u, y + v), (x - u, y - v), d), _mul(a, b, d)
+        b, h = (2 * u, 2 * v), 2 * h
         if bit == "1":
-            a, b = a * re - b * im, a * im + b * re
-        while turn and not -a < b <= a:  # a quarter turn towards arg 0
-            if b > 0:  # clockwise: times -i
-                a, b, h = b, -a, h + 1
-            else:  # counterclockwise: times i
-                a, b, h = -b, a, h - 1
+            a, b = _gauss_mul(a, b, re, im, d)
+        if turn:
+            a, b, k = _turn(a, b, d)
+            h += k
     return a, b, h
+
+
+def _gauss_mul(a, b, c, e, d: int):
+    """(a + ib)(c + ie) = (ac - be) + i(ae + bc)."""
+    (x, y), (u, v), (p, q), (r, s) = _mul(a, c, d), _mul(b, e, d), _mul(a, e, d), _mul(b, c, d)
+    return (x - u, y - v), (p + r, q + s)
+
+
+def _turn(a, b, d: int):
+    """(a', b', k) with a + ib = i^k * (a' + ib') != 0, -a' < b' <= a'."""
+    k = 0
+    while not (_sign(a[0] + b[0], a[1] + b[1], d) > 0 and _sign(a[0] - b[0], a[1] - b[1], d) >= 0):
+        if _sign(*b, d) > 0:  # clockwise: times -i
+            a, b, k = b, (-a[0], -a[1]), k + 1
+        else:  # counterclockwise: times i
+            a, b, k = (-b[0], -b[1]), a, k - 1
+    return a, b, k
 
 
 def uv_coefficients(n: int) -> tuple[list[int], list[int]]:
@@ -94,9 +103,8 @@ def uv_coefficients(n: int) -> tuple[list[int], list[int]]:
 
 
 def _lucas_fibonacci(m: int) -> tuple[int, int]:
-    # (L_m, F_m) with phi^j = (L_j + F_j*sqrt(5))/2, powered by squaring as
-    # in uv_pair: phi^(2j) gives (L^2 + 5F^2)/2 and L*F, phi^(j+1) gives
-    # (L + 5F)/2 and (L + F)/2
+    # (L_m, F_m) with phi^j = (L_j + F_j*sqrt(5))/2, by squaring: phi^(2j)
+    # gives (L^2 + 5F^2)/2 and L*F, phi^(j+1) (L + 5F)/2 and (L + F)/2
     check_int(m, "m", 0)
     L, F = 2, 0
     for bit in bin(m)[2:]:

@@ -207,11 +207,7 @@ class Surd(_Record):
 
     def _coerce(self, other) -> "Surd | Fraction | None":
         if isinstance(other, Surd):
-            if other.d != self.d:
-                raise IncompatibleFieldError(
-                    f"cannot mix sqrt({_int_text(self.d)}) with "
-                    f"sqrt({_int_text(other.d)})"
-                )
+            _field(self.d, other.d)
             return other
         if isinstance(other, (int, Fraction)):
             return Fraction(other)
@@ -251,17 +247,14 @@ class Surd(_Record):
             return NotImplemented
         if isinstance(other, Fraction):
             return _make(self.a * other, self.b * other, self.d)
-        (A, B, C), (X, Y, Z), d = _ints(self), _ints(other), self.d
-        return _make(Fraction(A * X + B * Y * d, C * Z), Fraction(A * Y + B * X, C * Z), d)
+        (A, B, C, d), (X, Y, Z, _) = _ints(self), _ints(other)
+        return _from_ints(*_mul((A, B), (X, Y), d), C * Z, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        # C/(A + B*sqrt(d)) = C*(A - B*sqrt(d)) / (A^2 - B^2 d); the norm is
-        # never zero because sqrt(d) is irrational and B != 0.
-        A, B, C = _ints(self)
-        norm = A * A - B * B * self.d
-        return _surd(Fraction(C * A, norm), Fraction(-C * B, norm), self.d)
+        A, B, C, d = _ints(self)
+        return _quotient((C, 0), (A, B), d)
 
     def __truediv__(self, other) -> Value:
         other = self._coerce(other)
@@ -296,13 +289,7 @@ class Surd(_Record):
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        A, B, _ = _ints(self)
-        sb = 1 if B > 0 else -1
-        if A * sb >= 0:
-            return sb
-        # Opposite signs: compare A^2 against B^2 d.  Equality would force
-        # sqrt(d) rational, impossible for squarefree d >= 2.
-        return -sb if A * A > B * B * self.d else sb
+        return value_sign(self)
 
     def _cmp(self, other) -> int:
         diff = self - other
@@ -334,11 +321,49 @@ class Surd(_Record):
 Value = Fraction | Surd
 
 
-def _ints(s: Surd) -> tuple[int, int, int]:
-    """Ints (A, B, C), C > 0, with s = (A + B*sqrt(d))/C: the one integer
-    form that the exact surd primitives read."""
-    a, b = s.a, s.b
-    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+def _ints(v: Value) -> tuple[int, int, int, int]:
+    """Ints (A, B, C, d), C > 0, with v = (A + B*sqrt(d))/C, B = d = 0 for a
+    Fraction: the one integer form that the exact primitives read."""
+    if isinstance(v, Fraction):
+        return v.numerator, 0, v.denominator, 0
+    (p, q), (r, s) = v.a.as_integer_ratio(), v.b.as_integer_ratio()
+    return p * s, r * q, q * s, v.d
+
+
+def _from_ints(x: int, y: int, c: int, d: int) -> Value:
+    """(x + y*sqrt(d))/c, c != 0, as a Value: the inverse of _ints."""
+    return Fraction(x, c) if y == 0 else _surd(Fraction(x, c), Fraction(y, c), d)
+
+
+def _field(d: int, e: int) -> int:
+    """The radicand of one field holding sqrt(d) and sqrt(e), 0 for Q."""
+    if d and e and d != e:
+        raise IncompatibleFieldError(f"cannot mix sqrt({_int_text(d)}) with sqrt({_int_text(e)})")
+    return d or e
+
+
+def _sign(x: int, y: int, d: int) -> int:
+    """Sign of x + y*sqrt(d): that of y when x shares it, else that of the
+    larger of x^2 and y^2*d, never equal as sqrt(d) is irrational."""
+    if y == 0:
+        return (x > 0) - (x < 0)
+    sy = 1 if y > 0 else -1
+    return sy if x * sy >= 0 or x * x < y * y * d else -sy
+
+
+def _mul(p, q, d: int) -> tuple[int, int]:
+    """(x + y*sqrt(d))(u + v*sqrt(d)) on int pairs (x, y), (u, v)."""
+    (x, y), (u, v) = p, q
+    return x * u + y * v * d, x * v + y * u
+
+
+def _quotient(p, q, d: int) -> Value:
+    """The Value p/q, q != 0: p times the conjugate of q over its norm,
+    never 0 as sqrt(d) is irrational."""
+    x, y = q
+    if y == 0:
+        return _from_ints(*p, x, d)
+    return _from_ints(*_mul(p, (x, -y), d), x * x - y * y * d, d)
 
 
 def _ratio(v: Value) -> tuple[int, int]:
@@ -350,13 +375,13 @@ def _ratio(v: Value) -> tuple[int, int]:
     signs the value is the norm A^2 - B^2*d over C*(A - B*sqrt(d)), whose
     two parts add, so no digit cancels.
     """
-    if not isinstance(v, Surd):
-        return v.numerator, v.denominator
-    A, B, C = _ints(v)
-    X = (abs(A) << 64) + math.isqrt(B * B * v.d << 128)
+    A, B, C, d = _ints(v)
+    if B == 0:
+        return A, C
+    X = (abs(A) << 64) + math.isqrt(B * B * d << 128)
     if A * B >= 0:
         return (X if B > 0 else -X), C << 64
-    norm = A * A - B * B * v.d
+    norm = A * A - B * B * d
     return (norm if A > 0 else -norm) << 64, C * X
 
 
@@ -418,10 +443,8 @@ def surd_normalize(a, b, d: int) -> Value:
 
 def value_sign(x: Value) -> int:
     """Exact sign in {-1, 0, +1}, decided without floating point."""
-    if isinstance(x, Surd):
-        return x.sign()
-    x = as_value(x, "x")
-    return (x > 0) - (x < 0)
+    A, B, _, d = _ints(as_value(x, "x"))
+    return _sign(A, B, d)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

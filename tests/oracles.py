@@ -7,9 +7,8 @@
   Lucas and Fibonacci numbers all satisfy.
 * The binomial expansion of (x + i)^n evaluated by Horner, against the
   package's powering by squaring.
-* Angle sums by the tangent rule on Fractions and multiples by
-  double-and-add over it, against the package's integer cross-product and
-  its Gaussian-integer powers.
+* Angle sums by the tangent rule on Values and multiples by double-and-add
+  over it, against the package's one Gaussian loop on integer pairs.
 * The partial sum of Euler's arctangent series by Horner's rule on one
   integer fraction, against the digit engine's capped product tree.
 * Sign, inverse and product of surds as chains of Fraction products on the
@@ -136,7 +135,7 @@ def uv_closed(n: int, x) -> UVPair:
 
 
 def angle_sum(x: NormalAngle, y: NormalAngle) -> NormalAngle:
-    """x + y on rational tangents s and t: (s + t)/(1 - s*t) in Fractions,
+    """x + y on tangents s and t: (s + t)/(1 - s*t) in Values,
     a half-turn more where s*t > 1 and a right angle where s*t = 1."""
     s, t, h = x.t, y.t, x.h + y.h
     if s == 0:
@@ -176,6 +175,21 @@ def angle_multiple(n: int, x: NormalAngle) -> NormalAngle:
         if bit == "1":
             acc = _reduced_sum(acc[0], t, acc[1] + h)
     return NormalAngle(*acc)
+
+
+def angle_double_and_add(n: int, x: NormalAngle) -> NormalAngle:
+    """n*x by left-to-right double-and-add over angle_sum, on Fraction or
+    Surd tangents: each sum takes the small original operand."""
+    if n < 0:
+        return angle_double_and_add(-n, -x)
+    if n == 0:
+        return NormalAngle(Fraction(0), 0)
+    acc = x
+    for bit in bin(n)[3:]:
+        acc = angle_sum(acc, acc)
+        if bit == "1":
+            acc = angle_sum(acc, x)
+    return acc
 
 
 def euler_partial_floor(p: int, q: int, n: int, digits: int) -> int:

@@ -244,8 +244,9 @@ def test_verify_golden_document(capsys):
     # double-and-add fold printed: every actual angle and every failing line
     data = Path(__file__).resolve().parent / "data"
     for seed in (1, 2, 3):
-        assert run(["verify", "--exact", "--json", "--file", str(data / f"verify_seed{seed}.txt")]) == 1
-        assert capsys.readouterr().out == (data / f"verify_seed{seed}.exact.json").read_text(), seed
+        doc, verdicts = data / f"verify_seed{seed}.txt", data / f"verify_seed{seed}.exact.json"
+        assert run(["verify", "--exact", "--json", "--file", str(doc)]) == 1
+        assert capsys.readouterr().out == verdicts.read_text(), seed
 
 
 def test_verify_mode_flags_conflict(tmp_path):

@@ -1,5 +1,6 @@
 """The composition product, angle folding, and composition roots."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from arctanforge import (
     DegenerateArgumentError,
+    IncompatibleFieldError,
     InvalidArgumentError,
     NormalAngle,
     OdotPolynomial,
@@ -15,6 +17,7 @@ from arctanforge import (
     Surd,
     UnsupportedRadicalError,
     fold_terms,
+    half_turn,
     lucas,
     odot,
     odot_pow,
@@ -24,7 +27,7 @@ from arctanforge import (
     value_sign,
 )
 from arctanforge.odot import _PI_MULTIPLES, ZERO_ANGLE
-from oracles import angle_multiple, angle_sum
+from oracles import angle_double_and_add, angle_multiple, angle_sum
 
 
 def rnd_fraction(rng, span=20):
@@ -366,3 +369,47 @@ def test_fold_power_reduces_once(monkeypatch):
     monkeypatch.undo()
     assert len(calls) <= 3
     assert angle == angle_multiple(4963, NormalAngle(Fraction(1, 5), 0))
+
+
+def _random_surd(rng, d):
+    # parts with unequal denominators, so no tangent of a rational multiple
+    # of pi (those are compared by canonical form above)
+    while True:
+        qa, qb = rng.randint(1, 12), rng.randint(1, 12)
+        if qa != qb:
+            b = rng.choice((1, -1)) * rng.randint(1, 30)
+            return Surd(Fraction(rng.randint(-30, 30), qa), Fraction(b, qb), d)
+
+
+def test_surd_angles_match_double_and_add_oracle():
+    # (t, h) structurally equal to double-and-add and the tangent rule on
+    # Values, the route that the integer Gaussian loop replaced
+    rng = random.Random(2027)
+    for _ in range(500):
+        d = rng.choice((2, 3, 5, 6, 7, 10))
+        a = NormalAngle(_random_surd(rng, d), rng.randint(-3, 3))
+        b_arg = _random_surd(rng, d) if rng.random() < 0.7 else rnd_fraction(rng)
+        b = NormalAngle(b_arg, rng.randint(-3, 3))
+        n = rng.randint(-300, 300)
+        got, want = n * a, angle_double_and_add(n, a)
+        assert (got.t, got.h) == (want.t, want.h), (n, a)
+        for x, y in ((a, b), (b, a)):
+            got, want = x + y, angle_sum(x, y)
+            assert (got.t, got.h) == (want.t, want.h), (x, y)
+
+
+def test_mixed_fields_fail_before_any_power(monkeypatch):
+    def no_power(*args, **kwargs):
+        raise AssertionError("a power was taken")
+
+    # the package exports a function named odot, so import the module by name
+    monkeypatch.setattr(importlib.import_module("arctanforge.odot"), "_gauss_pow", no_power)
+    root2, root3 = Surd(Fraction(1, 7), Fraction(1, 11), 2), Surd(Fraction(1, 5), Fraction(1, 3), 3)
+    with pytest.raises(IncompatibleFieldError, match=r"cannot mix sqrt\(2\) with sqrt\(3\)"):
+        fold_terms([(10**4, root2), (10**4, root3)])
+    with pytest.raises(IncompatibleFieldError, match=r"cannot mix sqrt\(3\) with sqrt\(2\)"):
+        fold_terms(iter([(1, Fraction(1, 2)), (10**4, root3), (10**4, root2)]))
+    with pytest.raises(IncompatibleFieldError):
+        NormalAngle(root2, 0) + NormalAngle(root3, 0)
+    with pytest.raises(UnsupportedRadicalError):
+        half_turn(Surd(0, 1, 2))  # root sqrt(3) lives in another field
