@@ -19,7 +19,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .engine import lehmer_measure, pi_digits
-from .errors import ArctanForgeError, IdentitySyntaxError, InvalidArgumentError
+from .errors import ArctanForgeError, IdentitySyntaxError, InvalidArgumentError, check_int
 from .generator import (
     GOLDEN_KINDS,
     Identity,
@@ -250,6 +250,8 @@ def _cmd_verify(args) -> Result:
 
 
 def _cmd_digits(args) -> Result:
+    # the cheap check first: a huge --n builds for as long as it likes
+    check_int(args.digits, "digits", 1)
     if args.file:
         ident = _read_document(args.file).identities[0]
     elif args.n is not None and args.x is not None:

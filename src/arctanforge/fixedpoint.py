@@ -28,16 +28,28 @@ q > 0, standing for t = p/q; no gcd is taken:
    the loop.
 3. Each arctan(a/b) is Euler's series
    arctan(x) = x/(1 + x**2) * Sum (2k)!!/(2k+1)!! * (x**2/(1 + x**2))**k,
-   run over |a| as one integer recurrence with r = a*a + b*b:
-   ``power = |a|*b*S // r``, then ``power = power*2k*a*a // ((2k+1)*r)``,
-   ``total += power``, until the first zero power.  Every term has the sign
-   of a, and each step is one floor.  With (a/b)**2 <= 1/4 the ratio
-   y = a*a/r is at most 1/5, and a step multiplies by at most y, so a power
-   is low by less than 1 + 1/5 + 1/25 + ... = 5/4 of a unit and never high.
-   The tail after the zero power is below 5/4 * (y + y**2 + ...) <= 5/16,
-   so n computed powers sum to less than 5n/4 + 1/3 < 2n units below
-   arctan(a/b)*S: the enclosure is one-sided, (total, total + 2n), mirrored
-   for a < 0.
+   run over |a| with r = a*a + b*b.  Every term has the sign of a, term k
+   is at most |a|*b/r * y**k with y = a*a/r <= 1/5, and the series gains
+   about 2*log10(b/|a|) digits a term.  A chunk estimated at more than
+   TREE_TERMS terms goes to the tree, every other chunk to the recurrence.
+   * The tree, ``_atan_tree``, is the classic exact product tree (Haible
+     and Papanikolaou, 1998) over the n terms, n the least n >= 1 with
+     S*|a|**(2n+1) < b*r**n, checked on ints from a float estimate below
+     it.  As 1 - y = b*b/r, the tail from n on is below
+     |a|**(2n+1)/(b*r**n), under one unit.  The partial sum T/Q is exact
+     and floored once, v = T*S // Q, so arctan(|a|/b)*S lies in [v, v + 2):
+     the enclosure is (v, v + 2), 2 units wide, mirrored for a < 0.
+   * The recurrence, ``_atan_series``, takes one floor a term:
+     ``power = |a|*b*S // r``, then ``power = power*2k*a*a // ((2k+1)*r)``,
+     ``total += power``, until the first zero power.  A step multiplies by
+     at most y, so a power is low by less than
+     1 + 1/5 + 1/25 + ... = 5/4 of a unit and never high.  The tail after
+     the zero power is below 5/4 * (y + y**2 + ...) <= 5/16, so n computed
+     powers sum to less than 5n/4 + 1/3 < 2n units below arctan(a/b)*S:
+     the enclosure is one-sided, (total, total + 2n), mirrored for a < 0.
+   The tree's one floor divides by a Q of about n*log10(r) digits, which
+   is quadratic on CPython ints, so it pays only for a long series over
+   short a and b; a late chunk, few terms over long a and b, stays linear.
 4. Once 10**(3m) >= S, the remainder |t| < 10**-m has
    |arctan(t) - t| < |t|**3/3 < 1/S, so the exact floor and ceiling of
    p*S/q, each moved out by one unit, enclose arctan(t)*S.
@@ -51,7 +63,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, log10
 
 from .errors import check_int
 from .odot import NormalAngle, fold_terms
@@ -61,6 +73,15 @@ from .values import Surd, Value, _ints, as_value
 _PI_BOOTSTRAP = ((5, Fraction(1, 7)), (2, Fraction(3, 79)))
 
 Interval = tuple[int, int]
+
+# estimated terms above which a chunk's series runs on the product tree:
+# timed on Python 3.11 (2-vCPU Xeon), per chunk at wp 3020 the tree took
+# 0.46x the recurrence's time on 1/5 and 1/7 and 0.6-0.8x on 3/79 and the
+# early chunks of a golden-mean surd, at wp 1020 0.85-1.3x from 600 to 1700
+# terms, and on late surd chunks (b = 10**16 and up) 1.3-4.6x at wp 1020
+# to 10 020; passes over the verify benchmark's numeric lines were fastest
+# at 800 to 1000
+TREE_TERMS = 800
 
 
 def _floor(v: Value, scale: int) -> int:
@@ -137,6 +158,46 @@ def _atan_series(p: int, q: int, scale: int) -> Interval:
     return (total, total + width) if p > 0 else (-total - width, -total)
 
 
+def _euler(a: int, b: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """Exact (P, Q, T) of Euler's series for arctan(a/b), a > 0, over the
+    terms [lo, hi), with leaf 0 (ab, r, ab) and leaf k (2k*a*a, (2k+1)*r,
+    2k*a*a), r = a*a + b*b.  Up to 32 terms are multiplied out from the
+    left; a larger range divides gcd(P1, Q2) out of its halves, which
+    keeps T/Q and P/Q."""
+    if hi - lo > 32:
+        mid = (lo + hi) // 2
+        p1, q1, t1 = _euler(a, b, lo, mid)
+        p2, q2, t2 = _euler(a, b, mid, hi)
+        g = gcd(p1, q2)
+        p1, q2 = p1 // g, q2 // g
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    a2, r = a * a, a * a + b * b
+    p, q, t = (a * b, r, a * b) if lo == 0 else (1, 1, 0)
+    for k in range(max(lo, 1), hi):
+        pk, qk = 2 * k * a2, (2 * k + 1) * r
+        t = t * qk + p * pk
+        p *= pk
+        q *= qk
+    return p, q, t
+
+
+def _atan_tree(p: int, q: int, scale: int) -> Interval:
+    """An interval 2 units wide containing arctan(p/q)*scale, for
+    0 < (p/q)**2 <= 1/4, q > 0: the exact partial sum over the least n with
+    scale*|p|**(2n+1) < q*r**n, floored once (step 3 above)."""
+    a = abs(p)
+    a2, r = a * a, a * a + q * q
+    # a float estimate below the least n; the int test decides it
+    la = log10(a)
+    n = max(1, int((log10(scale) + la - log10(q)) / (log10(r) - 2 * la)) - 1)
+    x, y = scale * a ** (2 * n + 1), q * r**n
+    while x >= y:
+        n, x, y = n + 1, x * a2, y * r
+    _, big_q, t = _euler(a, q, 0, n)
+    v = t * scale // big_q
+    return (v, v + 2) if p > 0 else (-v - 2, -v)
+
+
 class FixedPointContext:
     """Integer enclosures at a fixed working precision of wp digits."""
 
@@ -156,7 +217,9 @@ class FixedPointContext:
         lo, hi = -slack, slack
         chunks, (p, q) = _bit_burst(p, q, self.wp)
         for a, b in chunks:
-            u, v = _atan_series(a, b, scale)
+            # Euler's series gains about 2*log10(b/|a|) digits a term
+            long = self.wp > TREE_TERMS * 2 * (log10(b) - log10(abs(a)))
+            u, v = (_atan_tree if long else _atan_series)(a, b, scale)
             lo, hi = lo + u, hi + v
         if p:
             # |p/q| < 10**-m with 3m >= wp, so |arctan(p/q) - p/q| < 1/S

@@ -275,13 +275,15 @@ class Surd(_Record):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        # left-to-right binary powering: square, then multiply on a set bit
-        result: Value = Fraction(1)
+        # left-to-right binary powering on the int pair of A + B*sqrt(d),
+        # over C**n once at the end
+        A, B, C, d = _ints(self)
+        x, y = 1, 0
         for bit in bin(n)[2:]:
-            result = result * result
+            x, y = _mul((x, y), (x, y), d)
             if bit == "1":
-                result = result * self
-        return result
+                x, y = _mul((x, y), (A, B), d)
+        return _from_ints(x, y, C**n, d)
 
     def conjugate(self) -> "Surd":
         return _surd(self.a, -self.b, self.d)

@@ -11,8 +11,9 @@
   over it, against the package's one Gaussian loop on integer pairs.
 * The partial sum of Euler's arctangent series by Horner's rule on one
   integer fraction, against the digit engine's capped product tree.
-* Sign, inverse and product of surds as chains of Fraction products on the
-  parts a and b, against the package's one integer form (A + B*sqrt(d))/C.
+* Sign, inverse, product and powers of surds as chains of Fraction
+  products on the parts a and b, against the package's one integer form
+  (A + B*sqrt(d))/C.
 """
 
 from __future__ import annotations
@@ -221,3 +222,14 @@ def surd_inverse(x: Surd) -> Value:
 def surd_product(x: Surd, y: Surd) -> Value:
     """(a + b*sqrt(d))(c + e*sqrt(d)) = (ac + be*d) + (ae + bc)*sqrt(d)."""
     return surd_normalize(x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a, x.d)
+
+
+def surd_power(x: Surd, n: int) -> Value:
+    """x**n, n >= 0, by left-to-right binary powering on the Fraction parts
+    (a, b) of a + b*sqrt(d), each product as in surd_product."""
+    a, b, d = Fraction(1), Fraction(0), x.d
+    for bit in bin(n)[2:]:
+        a, b = a * a + b * b * d, 2 * a * b
+        if bit == "1":
+            a, b = a * x.a + b * x.b * d, a * x.b + b * x.a
+    return surd_normalize(a, b, d)

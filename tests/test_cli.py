@@ -311,6 +311,18 @@ def test_digits_requires_source(tmp_path, capsys):
     assert run(["digits", "--file", str(empty)]) == 2
 
 
+def test_digits_checks_the_digit_count_before_building(monkeypatch, capsys):
+    # a huge --n would build for as long as it likes before the check
+    def build(*args):
+        raise AssertionError("built before the digit count was checked")
+
+    monkeypatch.setattr(cli, "machin_pair", build)
+    assert run(["digits", "--n", "5", "--x", "2", "--digits", "0"]) == 2
+    assert "digits must be at least 1" in capsys.readouterr().err
+    assert run(["digits", "--file", "/no/such/file", "--digits", "-3"]) == 2
+    assert "digits must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_empty_file_is_an_error(tmp_path, capsys):
     # exit 0 means every identity held; an empty document must not earn it
     empty = tmp_path / "empty.txt"

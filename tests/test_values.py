@@ -21,7 +21,7 @@ from arctanforge import (
     value_sqrt,
 )
 from arctanforge.values import _int_text, _is_prime, _squarefree_decompose, _text_int, as_value
-from oracles import surd_inverse, surd_product, surd_sign
+from oracles import surd_inverse, surd_power, surd_product, surd_sign
 
 
 def rnd_fraction(rng, span=50):
@@ -149,6 +149,18 @@ def test_surd_powers_by_squaring():
     start = time.perf_counter()
     Surd(1, 1, 2) ** 16000
     assert time.perf_counter() - start < 0.1
+
+
+def test_surd_powers_against_fraction_oracle():
+    rng = random.Random(4099)
+    for d in (2, 3, 5, 6, 7, 10**6 + 3):
+        for _ in range(6):
+            x = rnd_surd(rng, d)
+            n = rng.randint(0, 400)
+            assert x**n == surd_power(x, n), (x, n)
+            assert x ** (-n) == surd_power(x.inverse(), n), (x, n)
+    # 3 + 2*sqrt(2) is a unit of norm 1, and so is each of its powers
+    assert Surd(3, 2, 2) ** 40 * Surd(3, -2, 2) ** 40 == 1
 
 
 def test_field_arithmetic_random():

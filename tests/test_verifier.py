@@ -27,7 +27,13 @@ from arctanforge import (
 )
 from arctanforge import fixedpoint
 from arctanforge.engine import atan_series_split
-from arctanforge.fixedpoint import FixedPointContext, _atan_series, _floor, pi_interval
+from arctanforge.fixedpoint import (
+    FixedPointContext,
+    _atan_series,
+    _atan_tree,
+    _floor,
+    pi_interval,
+)
 from arctanforge.odot import NormalAngle
 from arctanforge.values import _is_prime
 from arctanforge.verifier import _sci
@@ -344,6 +350,91 @@ def test_atan_series_against_split_oracle():
             assert (0 <= lo if p > 0 else hi <= 0), (p, q, wp)
             assert _atan_series(-p, q, scale) == (-hi, -lo)
             assert hi - lo == 2 * _euler_powers(p, q, scale), (p, q, wp)
+
+
+def test_atan_tree_against_split_oracle():
+    rng = random.Random(271)
+    # short rationals and bit-burst chunks a/10**m, |a| < 10**(m/2) past
+    # the first, at every wp; long rationals, whose trees grow by the
+    # length of r a term, at wp 50 and 300
+    chunks = [(1, 2), (-1, 2), (2, 4), (-3, 6), (1, 10**30), (-1, 10**30)]
+    chunks += [(1, 5), (1, 7), (3, 79), (1, 239)]
+    while len(chunks) < 30:
+        m = rng.choice((1, 2, 4, 8, 16, 32))
+        p = rng.randint(1, 5 if m == 1 else 10 ** (m // 2))
+        chunks.append((rng.choice((1, -1)) * p, 10**m))
+    longs = [(-10**40, 2 * 10**40 + 1)]
+    while len(longs) < 30:
+        q = rng.randint(2, 10 ** rng.randint(1, 60))
+        longs.append((rng.choice((1, -1)) * rng.randint(1, q // 2), q))
+    plan = ((50, chunks + longs), (300, chunks + longs[:8]), (1000, chunks), (3000, chunks[:12]))
+    for wp, pairs in plan:
+        scale = 10**wp
+        for p, q in pairs:
+            lo, hi = _atan_tree(p, q, scale)
+            # the split's floor f has |f - arctan(p/q)*10**(wp + 40)| < 2
+            f = atan_series_split(p, q, wp + 40)
+            assert lo * 10**40 <= f - 2 and f + 2 <= hi * 10**40, (p, q, wp)
+            assert hi - lo == 2
+            assert _atan_tree(-p, q, scale) == (-hi, -lo)
+            slo, shi = _atan_series(p, q, scale)
+            assert slo <= lo and hi <= shi, (p, q, wp)
+
+
+def _tree_calls(monkeypatch) -> list:
+    """The chunks that FixedPointContext.atan sends to the tree, from now on."""
+    calls = []
+
+    def tree(p, q, scale):
+        calls.append((p, q))
+        return _atan_tree(p, q, scale)
+
+    monkeypatch.setattr(fixedpoint, "_atan_tree", tree)
+    return calls
+
+
+def test_atan_routes_pick_by_estimated_terms(monkeypatch):
+    # arctan(1/5) gains about 2*log10(5) digits a term, so it runs on the
+    # tree just above wp = TREE_TERMS*2*log10(5) and on the recurrence at it
+    calls = _tree_calls(monkeypatch)
+    edge = math.floor(fixedpoint.TREE_TERMS * 2 * math.log10(5))
+    for wp, routed in ((edge, []), (edge + 1, [(1, 5)])):
+        calls.clear()
+        lo, hi = FixedPointContext(wp).atan(Fraction(1, 5))
+        assert calls == routed, wp
+        f = atan_series_split(1, 5, wp + 40)
+        assert lo * 10**40 <= f - 2 and f + 2 <= hi * 10**40, wp
+
+
+def test_numeric_verdicts_above_the_tree_constant(monkeypatch):
+    # at 1500 to 2000 digits the long chunks run on the tree: true lines
+    # hold and lines moved by a quarter turn fail, none indeterminate
+    routed = _tree_calls(monkeypatch)
+    lines = [
+        (MACHIN, 1500),
+        (machin_pair(2, Fraction(7)), 1600),
+        (EULER, 1700),
+        (golden_family("odd", 1), 1800),
+        (quad_reduce(2, 1 - 1000003, surd_normalize(1, 1, 1000003)), 2000),
+    ]
+    for line, digits in lines:
+        routed.clear()
+        v = verify_numeric(line, digits)
+        assert routed, (line, digits)
+        assert v.holds and not v.indeterminate, (line, digits, v.numeric_residual)
+        for shift in (Fraction(1, 4), Fraction(-1, 4)):
+            v = verify_numeric(Identity(line.terms, line.rhs + shift), digits)
+            assert not v.holds and not v.indeterminate, (line, digits, shift)
+
+
+def test_pi_interval_contains_proved_digits():
+    # at 2400 digits both chunks of Euler's bootstrap run on the tree
+    digits = 2400
+    r = pi_digits(MACHIN, digits)
+    assert not r.unrounded
+    lo, hi = pi_interval(digits + 5)
+    t = int(r.digits.replace(".", ""))
+    assert t * 10**5 <= lo <= hi < (t + 1) * 10**5
 
 
 def _split_window(x: Fraction, digits: int) -> tuple[int, int]:
