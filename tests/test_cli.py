@@ -249,6 +249,21 @@ def test_verify_golden_document(capsys):
         assert capsys.readouterr().out == verdicts.read_text(), seed
 
 
+def test_generate_golden_document(capsys):
+    # every command of the generate benchmark (seeds 1-3: quad, gen, golden,
+    # half, diff, rootpoly) as a "$ argv" line followed by the stdout that
+    # the Fraction-part surd arithmetic printed for it
+    data = Path(__file__).resolve().parent / "data"
+    for seed in (1, 2, 3):
+        text = (data / f"generate_seed{seed}.txt").read_text()
+        blocks = text.split("$ ")[1:]
+        assert len(blocks) == 48 and "".join("$ " + b for b in blocks) == text
+        for block in blocks:
+            command, want = block.split("\n", 1)
+            assert run(shlex.split(command)) == 0, command
+            assert capsys.readouterr().out == want, command
+
+
 def test_verify_mode_flags_conflict(tmp_path):
     f = tmp_path / "ids.txt"
     f.write_text("atan(1) = 1/4*pi\n")
