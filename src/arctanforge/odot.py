@@ -12,7 +12,7 @@ then add up to an integer number of half-turns:
 t = (A + B*sqrt(d))/C, C > 0, arctan(t) is the argument of
 C + i(A + B*sqrt(d)) (Todd, Amer. Math. Monthly 1949), so angles are
 Gaussian pairs over Z[sqrt(d)] with counted quarter turns
-(``sequences._gauss_pow``): ``n * A`` is a power, ``A + B`` a product and
+(``values._gauss_pow``): ``n * A`` is a power, ``A + B`` a product and
 ``canonical()`` the pair of t turned.  ``_angle`` reduces once, to an even
 turn count unless at a right angle, as the rule above does; n*A adds n*h.
 t = +-1 has a closed form.
@@ -39,8 +39,9 @@ from .errors import (
     UnsupportedRadicalError,
     check_int,
 )
-from .sequences import _gauss_mul, _gauss_pow, _turn, uv_coefficients
-from .values import Surd, Value, _field, _ints, _quotient, _Record, _set, _sign, as_value
+from .sequences import uv_coefficients
+from .values import Surd, Value, _field, _gauss_mul, _gauss_pow, _ints, _quotient, _Record, _set
+from .values import _sign, _turn, as_value
 from .values import format_value, value_sign, value_sqrt
 
 __all__ = [

@@ -10,8 +10,19 @@ representations, and equality/hashing are structural.
 Values are immutable and every operation is a pure function, so the whole
 module is safe for unrestricted concurrent use.  Mixing two different
 radicands in one expression raises :class:`IncompatibleFieldError` rather
-than silently extending to a degree-4 field.  Signs and comparisons are
-decided by exact integer case analysis, never by floating point.
+than silently extending to a degree-4 field.
+
+Every Surd operation (``+ - * /``, comparisons, powers, ``value_sqrt``)
+reads the integer form (A + B*sqrt(d))/C, C > 0, of ``_ints``, runs one
+integer formula, with signs by exact case analysis and no float, and
+reduces once.  The Gaussian squaring loop ``_gauss_pow`` raises re + i*im
+to the n-th power with no gcd, re and im being int pairs (x, y) for
+x + y*sqrt(d), for ``Surd.__pow__`` (im = 0), ``sequences.uv_pair`` and
+``odot.NormalAngle``.  For an angle (re > 0) ``_turn`` takes quarter turns
+after each product until -re < im <= re, h counting them, which keeps
+j*arg(z) = arg(pair) + h*pi/2 exact: squaring an argument in
+(-pi/4, pi/4] gives one in (-pi/2, pi/2], and a factor z, of argument in
+(-pi/2, pi/2), leaves it in (-pi, pi), at most two quarter turns away.
 """
 
 from __future__ import annotations
@@ -176,6 +187,18 @@ def _squarefree_decompose(d: int) -> tuple[int, int]:
     )
 
 
+def _comparison(test):
+    """A Surd comparison: `test` of the sign of s - t against 0."""
+
+    def compare(s, t):
+        if (forms := _forms(s, t)) is None:
+            return NotImplemented
+        A, B, C, X, Y, Z, d = forms
+        return test(_sign(A * Z - X * C, B * Z - Y * C, d), 0)
+
+    return compare
+
+
 class Surd(_Record):
     """The exact real number a + b*sqrt(d).
 
@@ -205,21 +228,11 @@ class Surd(_Record):
 
     # -- field arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> "Surd | Fraction | None":
-        if isinstance(other, Surd):
-            _field(self.d, other.d)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return None
-
     def __add__(self, other) -> Value:
-        other = self._coerce(other)
-        if other is None:
+        if (forms := _forms(self, other)) is None:
             return NotImplemented
-        if isinstance(other, Fraction):
-            return _surd(self.a + other, self.b, self.d)
-        return _make(self.a + other.a, self.b + other.b, self.d)
+        A, B, C, X, Y, Z, d = forms
+        return _from_ints(A * Z + X * C, B * Z + Y * C, C * Z, d)
 
     __radd__ = __add__
 
@@ -230,24 +243,21 @@ class Surd(_Record):
         return self
 
     def __sub__(self, other) -> Value:
-        other = self._coerce(other)
-        if other is None:
+        if (forms := _forms(self, other)) is None:
             return NotImplemented
-        return self + (-other)
+        A, B, C, X, Y, Z, d = forms
+        return _from_ints(A * Z - X * C, B * Z - Y * C, C * Z, d)
 
     def __rsub__(self, other) -> Value:
-        other = self._coerce(other)
-        if other is None:
+        if (forms := _forms(self, other)) is None:
             return NotImplemented
-        return (-self) + other
+        A, B, C, X, Y, Z, d = forms
+        return _from_ints(X * C - A * Z, Y * C - B * Z, C * Z, d)
 
     def __mul__(self, other) -> Value:
-        other = self._coerce(other)
-        if other is None:
+        if (forms := _forms(self, other)) is None:
             return NotImplemented
-        if isinstance(other, Fraction):
-            return _make(self.a * other, self.b * other, self.d)
-        (A, B, C, d), (X, Y, Z, _) = _ints(self), _ints(other)
+        A, B, C, X, Y, Z, d = forms
         return _from_ints(*_mul((A, B), (X, Y), d), C * Z, d)
 
     __rmul__ = __mul__
@@ -257,33 +267,24 @@ class Surd(_Record):
         return _quotient((C, 0), (A, B), d)
 
     def __truediv__(self, other) -> Value:
-        other = self._coerce(other)
-        if other is None:
+        if (forms := _forms(self, other)) is None:
             return NotImplemented
-        if isinstance(other, Fraction):
-            return _surd(self.a / other, self.b / other, self.d)
-        return self * other.inverse()
+        A, B, C, X, Y, Z, d = forms
+        return _quotient((A * Z, B * Z), (C * X, C * Y), d)
 
     def __rtruediv__(self, other) -> Value:
-        other = self._coerce(other)
-        if other is None:
+        if (forms := _forms(self, other)) is None:
             return NotImplemented
-        return other * self.inverse()
+        A, B, C, X, Y, Z, d = forms
+        return _quotient((C * X, C * Y), (A * Z, B * Z), d)
 
     def __pow__(self, n: int) -> Value:
+        # (A + B*sqrt(d))^|n| over C^n, or C^|n| over it for n < 0
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        # left-to-right binary powering on the int pair of A + B*sqrt(d),
-        # over C**n once at the end
         A, B, C, d = _ints(self)
-        x, y = 1, 0
-        for bit in bin(n)[2:]:
-            x, y = _mul((x, y), (x, y), d)
-            if bit == "1":
-                x, y = _mul((x, y), (A, B), d)
-        return _from_ints(x, y, C**n, d)
+        power, _, _ = _gauss_pow((A, B), (0, 0), abs(n), d, turn=False)
+        return _from_ints(*power, C**n, d) if n >= 0 else _quotient((C**-n, 0), power, d)
 
     def conjugate(self) -> "Surd":
         return _surd(self.a, -self.b, self.d)
@@ -293,21 +294,7 @@ class Surd(_Record):
     def sign(self) -> int:
         return value_sign(self)
 
-    def _cmp(self, other) -> int:
-        diff = self - other
-        return value_sign(diff)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+    __lt__, __le__, __gt__, __ge__ = map(_comparison, (operator.lt, operator.le, operator.gt, operator.ge))
 
     def __abs__(self) -> "Surd":
         return self if self.sign() >= 0 else -self
@@ -323,13 +310,22 @@ class Surd(_Record):
 Value = Fraction | Surd
 
 
-def _ints(v: Value) -> tuple[int, int, int, int]:
+def _ints(v: Value | int) -> tuple[int, int, int, int]:
     """Ints (A, B, C, d), C > 0, with v = (A + B*sqrt(d))/C, B = d = 0 for a
-    Fraction: the one integer form that the exact primitives read."""
-    if isinstance(v, Fraction):
+    Fraction or an int: the one integer form that every surd operation reads."""
+    if not isinstance(v, Surd):
         return v.numerator, 0, v.denominator, 0
     (p, q), (r, s) = v.a.as_integer_ratio(), v.b.as_integer_ratio()
     return p * s, r * q, q * s, v.d
+
+
+def _forms(s: Surd, t) -> tuple[int, ...] | None:
+    """(A, B, C, X, Y, Z, d) with s = (A + B*sqrt(d))/C and t = (X + Y*sqrt(d))/Z
+    over one field, C, Z > 0; None unless t is an int, a Fraction or a Surd."""
+    if not isinstance(t, (int, Fraction, Surd)):
+        return None
+    (A, B, C, d), (X, Y, Z, e) = _ints(s), _ints(t)
+    return A, B, C, X, Y, Z, _field(d, e)
 
 
 def _from_ints(x: int, y: int, c: int, d: int) -> Value:
@@ -366,6 +362,40 @@ def _quotient(p, q, d: int) -> Value:
     if y == 0:
         return _from_ints(*p, x, d)
     return _from_ints(*_mul(p, (x, -y), d), x * x - y * y * d, d)
+
+
+def _gauss_pow(re, im, n: int, d: int, turn: bool = True):
+    """(a, b, h) with (re + i*im)^n = i^h * (a + i*b), all over Z[sqrt(d)],
+    by left-to-right squaring; h = 0 without `turn`.  With `turn` and
+    re > 0, -a < b <= a and n*arg(re + i*im) = arg(a + i*b) + h*pi/2."""
+    a, b, h = (1, 0), (0, 0), 0
+    for bit in bin(n)[2:]:
+        (x, y), (u, v) = a, b  # (a + ib)^2 = (a + b)(a - b) + 2iab
+        a, (u, v) = _mul((x + u, y + v), (x - u, y - v), d), _mul(a, b, d)
+        b, h = (2 * u, 2 * v), 2 * h
+        if bit == "1":
+            a, b = _gauss_mul(a, b, re, im, d)
+        if turn:
+            a, b, k = _turn(a, b, d)
+            h += k
+    return a, b, h
+
+
+def _gauss_mul(a, b, c, e, d: int):
+    """(a + ib)(c + ie) = (ac - be) + i(ae + bc)."""
+    (x, y), (u, v), (p, q), (r, s) = _mul(a, c, d), _mul(b, e, d), _mul(a, e, d), _mul(b, c, d)
+    return (x - u, y - v), (p + r, q + s)
+
+
+def _turn(a, b, d: int):
+    """(a', b', k) with a + ib = i^k * (a' + ib') != 0, -a' < b' <= a'."""
+    k = 0
+    while not (_sign(a[0] + b[0], a[1] + b[1], d) > 0 and _sign(a[0] - b[0], a[1] - b[1], d) >= 0):
+        if _sign(*b, d) > 0:  # clockwise: times -i
+            a, b, k = b, (-a[0], -a[1]), k + 1
+        else:  # counterclockwise: times i
+            a, b, k = (-b[0], -b[1]), a, k - 1
+    return a, b, k
 
 
 def _ratio(v: Value) -> tuple[int, int]:
@@ -449,16 +479,6 @@ def value_sign(x: Value) -> int:
     return _sign(A, B, d)
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    """Exact rational square root of q >= 0, or None."""
-    if q < 0:
-        return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def value_sqrt(x: Value) -> Value:
     """Square root of a nonnegative Value, if it exists as a Value.
 
@@ -467,22 +487,21 @@ def value_sqrt(x: Value) -> Value:
     UnsupportedRadicalError is raised.
     """
     x = as_value(x, "x")
-    if value_sign(x) < 0:
+    A, B, C, d = _ints(x)
+    if _sign(A, B, d) < 0:
         raise UnsupportedRadicalError("negative radicand")
-    if isinstance(x, Surd):
-        # Solve (c + e*sqrt(d))^2 = a + b*sqrt(d) over the rationals:
-        # c^2 + e^2 d = a and 2ce = b, so c^2 is a root t of 4t^2 - 4at + b^2 d.
-        # t = 0 would make b zero, so any rational c = sqrt(t) > 0 with
-        # e = b/(2c) solves both, and the root is c + e*sqrt(d) up to sign.
-        disc = _fraction_sqrt(x.a * x.a - x.b * x.b * x.d)
-        if disc is not None:
-            for t in ((x.a + disc) / 2, (x.a - disc) / 2):
-                c = _fraction_sqrt(t)
-                if c is not None:
-                    root = _surd(c, x.b / (2 * c), x.d)
-                    return root if root.sign() > 0 else -root
+    if B:
+        # (c + e*sqrt(d))^2 = x needs c^2 + e^2*d = A/C and 2ce = B/C, so
+        # c^2 = (A +- N)/(2C) with N^2 = A^2 - B^2*d, c != 0 as B != 0:
+        # c = M/(2C) with M^2 = 2C(A +- N) and e = B/M, up to sign
+        norm = A * A - B * B * d
+        N = math.isqrt(max(norm, 0))
+        for t in (2 * C * (A + N), 2 * C * (A - N)):
+            M = math.isqrt(max(t, 0))
+            if N * N == norm and M * M == t:
+                return _from_ints(M * M, 2 * C * B, 2 * C * M * _sign(M * M, 2 * C * B, d), d)
         raise UnsupportedRadicalError(
-            f"sqrt of {format_value(x)} does not lie in Q(sqrt({_int_text(x.d)}))"
+            f"sqrt of {format_value(x)} does not lie in Q(sqrt({_int_text(d)}))"
         )
     # p/q in lowest terms: sqrt(sp^2*cp / (sq^2*cq)) = sp/(sq*cq) * sqrt(cp*cq),
     # and cp*cq is squarefree because p and q are coprime

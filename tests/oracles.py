@@ -14,17 +14,22 @@
 * Sign, inverse, product and powers of surds as chains of Fraction
   products on the parts a and b, against the package's one integer form
   (A + B*sqrt(d))/C.
+* The surd operators, comparisons and square roots as they once ran: on
+  the Fraction parts a and b of each operand, with Fraction square roots,
+  against the package's integer formulas on (A + B*sqrt(d))/C.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from arctanforge.fixedpoint import FixedPointContext, pi_interval
 from arctanforge.odot import NormalAngle, _check_pow_args
 from arctanforge.sequences import UVPair, uv_coefficients
-from arctanforge.values import Surd, Value, as_value, surd_normalize
+from arctanforge.values import Surd, Value, _surd, as_value, surd_normalize
 
 
 @dataclass(frozen=True)
@@ -233,3 +238,57 @@ def surd_power(x: Surd, n: int) -> Value:
         if bit == "1":
             a, b = a * x.a + b * x.b * d, a * x.b + b * x.a
     return surd_normalize(a, b, d)
+
+
+def _parts(x) -> tuple[Fraction, Fraction, int]:
+    """(a, b, d) with x = a + b*sqrt(d): b = d = 0 for an int or a Fraction."""
+    if isinstance(x, Surd):
+        return x.a, x.b, x.d
+    return Fraction(x), Fraction(0), 0
+
+
+def parts_arith(op, x, y) -> Value:
+    """x op y, op one of + - * /, on the Fraction parts of operands over one
+    field (ints, Fractions or Surds, one of them a Surd): a sum or
+    difference part by part, a product as in surd_product, and a quotient
+    as x times y's conjugate over y's norm."""
+    (a, b, d), (c, e, f) = _parts(x), _parts(y)
+    d = d or f
+    if op is operator.truediv:
+        norm = c * c - e * e * d
+        op, c, e = operator.mul, c / norm, -e / norm
+    if op is operator.mul:
+        return surd_normalize(a * c + b * e * d, a * e + b * c, d)
+    return surd_normalize(op(a, c), op(b, e), d)
+
+
+def parts_cmp(x, y) -> int:
+    """The sign of x - y in Fraction parts, which x < y and the other
+    comparisons test against 0."""
+    diff = parts_arith(operator.sub, x, y)
+    return surd_sign(diff) if isinstance(diff, Surd) else (diff > 0) - (diff < 0)
+
+
+def _fraction_sqrt(q: Fraction) -> Fraction | None:
+    """Exact rational square root of q >= 0, or None."""
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def parts_sqrt(x: Surd) -> Surd | None:
+    """The nonnegative square root of x in Q(sqrt(d)), or None, solving
+    (c + e*sqrt(d))^2 = a + b*sqrt(d) over the rationals: c^2 + e^2 d = a and
+    2ce = b, so c^2 is a root t of 4t^2 - 4at + b^2 d, t != 0 as b != 0, and
+    the root is c + e*sqrt(d), e = b/(2c), up to sign."""
+    disc = _fraction_sqrt(x.a * x.a - x.b * x.b * x.d)
+    if disc is not None:
+        for t in ((x.a + disc) / 2, (x.a - disc) / 2):
+            c = _fraction_sqrt(t)
+            if c is not None:
+                root = _surd(c, x.b / (2 * c), x.d)
+                return root if surd_sign(root) > 0 else -root
+    return None

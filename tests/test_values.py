@@ -21,7 +21,7 @@ from arctanforge import (
     value_sqrt,
 )
 from arctanforge.values import _int_text, _is_prime, _squarefree_decompose, _text_int, as_value
-from oracles import surd_inverse, surd_power, surd_product, surd_sign
+from oracles import parts_arith, parts_cmp, parts_sqrt, surd_inverse, surd_power, surd_product, surd_sign
 
 
 def rnd_fraction(rng, span=50):
@@ -275,6 +275,73 @@ def test_comparisons():
         Fraction(1),
         Surd(0, 1, 2),
     ]
+
+
+ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def same(got, want) -> bool:
+    """Structural equality: one class and equal fields."""
+    return type(got) is type(want) and got == want
+
+
+def test_surd_operators_against_fraction_part_oracle():
+    # every operator, comparison and square root on the integer form against
+    # the Fraction-part route, with an int, Fraction or Surd second operand
+    # in both orders; parts over unequal denominators, and second surds that
+    # cancel a part or equal the first
+    rng = random.Random(2801)
+    for _ in range(2000):
+        d = rng.choice((2, 3, 5, 6, 7, 10))
+        while True:
+            a, b = (Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in "ab")
+            if a and b and a.denominator != b.denominator:
+                x = Surd(a, b, d)
+                break
+        y = rng.choice((
+            rng.choice((-7, -1, 1, True, 12, 10**30 + 1)),
+            Fraction(rng.randint(-99, 99) or 1, rng.randint(2, 60)),
+            Surd(Fraction(rng.randint(-99, 99), rng.randint(1, 60)), b, d),  # x - y rational
+            x.conjugate(),  # x * y rational
+            x,
+            Surd(Fraction(rng.randint(-99, 99), 7), Fraction(rng.randint(1, 99), 13), d),
+        ))
+        for u, v in ((x, y), (y, x)):
+            for op in ARITH:
+                assert same(op(u, v), parts_arith(op, u, v)), (op, u, v)
+            sign = parts_cmp(u, v)
+            for op in ORDER:
+                assert op(u, v) == op(sign, 0), (op, u, v)
+        for v in (x * x, x):
+            want = parts_sqrt(v) if surd_sign(v) >= 0 else None
+            if want is None:
+                with pytest.raises(UnsupportedRadicalError):
+                    value_sqrt(v)
+            else:
+                assert same(value_sqrt(v), want), v
+
+
+def test_every_operator_rejects_mixed_radicands():
+    s, t = Surd(Fraction(1, 3), Fraction(2, 5), 2), Surd(Fraction(-1, 7), Fraction(3, 4), 3)
+    for op in ARITH + ORDER:
+        for u, v in ((s, t), (t, s)):
+            with pytest.raises(IncompatibleFieldError, match=rf"cannot mix sqrt\({u.d}\) with sqrt\({v.d}\)"):
+                op(u, v)
+
+
+def test_comparisons_decline_inexact_operands():
+    # Python names the comparison, not the subtraction behind it
+    s = Surd(0, 1, 2)
+    for other in (0.5, "1", None):
+        for op, symbol in zip(ORDER, ("<", "<=", ">", ">=")):
+            message = f"'{symbol}' not supported between instances of"
+            with pytest.raises(TypeError, match=message):
+                op(s, other)
+            with pytest.raises(TypeError, match=message):
+                op(other, s)
+    assert (s == math.sqrt(2)) is False and (math.sqrt(2) == s) is False
+    assert s != 1.5
 
 
 def test_value_sqrt_rational():
