@@ -14,9 +14,9 @@
 * Sign, inverse, product and powers of surds as chains of Fraction
   products on the parts a and b, against the package's one integer form
   (A + B*sqrt(d))/C.
-* The surd operators, comparisons and square roots as they once ran: on
-  the Fraction parts a and b of each operand, with Fraction square roots,
-  against the package's integer formulas on (A + B*sqrt(d))/C.
+* The surd operators, comparisons and square roots on the Fraction parts
+  a and b of each operand, with Fraction square roots, against the
+  package's integer formulas on (A + B*sqrt(d))/C.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from arctanforge.fixedpoint import FixedPointContext, pi_interval
 from arctanforge.odot import NormalAngle, _check_pow_args
 from arctanforge.sequences import UVPair, uv_coefficients
-from arctanforge.values import Surd, Value, _surd, as_value, surd_normalize
+from arctanforge.values import Surd, Value, as_value, surd_normalize
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,6 @@ def parts_sqrt(x: Surd) -> Surd | None:
         for t in ((x.a + disc) / 2, (x.a - disc) / 2):
             c = _fraction_sqrt(t)
             if c is not None:
-                root = _surd(c, x.b / (2 * c), x.d)
+                root = surd_normalize(c, x.b / (2 * c), x.d)
                 return root if surd_sign(root) > 0 else -root
     return None

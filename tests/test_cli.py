@@ -251,8 +251,8 @@ def test_verify_golden_document(capsys):
 
 def test_generate_golden_document(capsys):
     # every command of the generate benchmark (seeds 1-3: quad, gen, golden,
-    # half, diff, rootpoly) as a "$ argv" line followed by the stdout that
-    # the Fraction-part surd arithmetic printed for it
+    # half, diff, rootpoly) as a "$ argv" line followed by its stdout, as
+    # printed when the surd operators still ran on Fraction parts
     data = Path(__file__).resolve().parent / "data"
     for seed in (1, 2, 3):
         text = (data / f"generate_seed{seed}.txt").read_text()
