@@ -2,10 +2,12 @@
 
 A *Value* is either a :class:`fractions.Fraction` or a :class:`Surd`
 ``a + b*sqrt(d)`` with rational ``a``, ``b`` and squarefree integer
-``d >= 2``.  Canonical form is enforced everywhere: radicands are reduced
-to their squarefree core, and a surd whose irrational part vanishes is
-demoted to a plain ``Fraction``.  Equal values therefore always have equal
-representations, and equality/hashing are structural.
+``d >= 2``.  A Surd stores the integer form (A + B*sqrt(d))/C, C > 0 and
+gcd(A, B, C) = 1, and reads ``a`` and ``b`` off it as Fractions.  Canonical
+form is enforced everywhere: radicands are reduced to their squarefree core,
+and a surd whose irrational part vanishes is demoted to a plain
+``Fraction``.  Equal values therefore always have equal representations,
+and equality/hashing are structural.
 
 Values are immutable and every operation is a pure function, so the whole
 module is safe for unrestricted concurrent use.  Mixing two different
@@ -13,16 +15,17 @@ radicands in one expression raises :class:`IncompatibleFieldError` rather
 than silently extending to a degree-4 field.
 
 Every Surd operation (``+ - * /``, comparisons, powers, ``value_sqrt``)
-reads the integer form (A + B*sqrt(d))/C, C > 0, of ``_ints``, runs one
-integer formula, with signs by exact case analysis and no float, and
-reduces once.  The Gaussian squaring loop ``_gauss_pow`` raises re + i*im
-to the n-th power with no gcd, re and im being int pairs (x, y) for
-x + y*sqrt(d), for ``Surd.__pow__`` (im = 0), ``sequences.uv_pair`` and
-``odot.NormalAngle``.  For an angle (re > 0) ``_turn`` takes quarter turns
-after each product until -re < im <= re, h counting them, which keeps
-j*arg(z) = arg(pair) + h*pi/2 exact: squaring an argument in
-(-pi/4, pi/4] gives one in (-pi/2, pi/2], and a factor z, of argument in
-(-pi/2, pi/2), leaves it in (-pi, pi), at most two quarter turns away.
+reads the stored form through ``_ints``, runs one integer formula, with
+signs by exact case analysis and no float, and leaves through
+``_from_ints``, the one builder of a Surd, which reduces with one gcd.
+The Gaussian squaring loop ``_gauss_pow`` raises re + i*im to the n-th
+power with no gcd, re and im being int pairs (x, y) for x + y*sqrt(d), for
+``Surd.__pow__`` (im = 0), ``sequences.uv_pair`` and ``odot.NormalAngle``.
+For an angle (re > 0) ``_turn`` takes quarter turns after each product
+until -re < im <= re, h counting them, which keeps j*arg(z) =
+arg(pair) + h*pi/2 exact: squaring an argument in (-pi/4, pi/4] gives one
+in (-pi/2, pi/2], and a factor z, of argument in (-pi/2, pi/2), leaves it
+in (-pi, pi), at most two quarter turns away.
 """
 
 from __future__ import annotations
@@ -88,17 +91,19 @@ class _Record:
     one compiles no generated methods, as a frozen dataclass would.
 
     A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` through ``_set``.  Records compare equal when they are of
-    one class with equal fields, hash by their fields, and take no assignment
-    or deletion once built; copies and pickles rebuild them through the
-    constructor.
+    ``__init__`` through ``_set``; one that stores another form in its slots
+    names its public fields, views of the slots, in ``__match_args__``.
+    Records compare equal when they are of one class with equal slots, hash
+    by their slots, and take no assignment or deletion once built; repr,
+    copies and pickles read the public fields, and copies and pickles
+    rebuild through the constructor.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._key = operator.attrgetter(*cls.__slots__)
-        cls.__match_args__ = cls.__slots__
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -109,7 +114,7 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -119,7 +124,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
 
 # trial division stops at the first bound that certifies the cofactor;
@@ -200,17 +205,21 @@ def _comparison(test):
 
 
 class Surd(_Record):
-    """The exact real number a + b*sqrt(d).
+    """The exact real number a + b*sqrt(d), stored as (A + B*sqrt(d))/C.
 
-    Instances must already be canonical: d squarefree and >= 2, b != 0.
+    The constructor takes a canonical surd: d squarefree and >= 2, b != 0.
     Use :func:`surd_normalize` to build a Value from raw (a, b, d) data.
-    Arithmetic accepts ints, Fractions and Surds over the same d, and
-    demotes to Fraction whenever the sqrt(d) part cancels.
+    The slots hold the ints A, B, C, C > 0 and gcd(A, B, C) = 1, and d, so
+    every route to one value stores one form; ``a`` and ``b`` are
+    read-only Fraction views of it.  Arithmetic accepts ints, Fractions and
+    Surds over the same d, and demotes to Fraction whenever the sqrt(d) part
+    cancels.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_A", "_B", "_C", "d")
+    __match_args__ = ("a", "b", "d")
 
-    def __init__(self, a: Fraction, b: Fraction, d: int):
+    def __new__(cls, a: Fraction, b: Fraction, d: int):
         a, b = as_value(a, "a", surd=False), as_value(b, "b", surd=False)
         check_int(d, "d")
         if d < 2:
@@ -222,9 +231,11 @@ class Surd(_Record):
             )
         if b == 0:
             raise InvalidRadicandError("b = 0 is rational; use surd_normalize()")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "d", d)
+        (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+        return _from_ints(p * s, r * q, q * s, d)
+
+    a = property(lambda self: Fraction(self._A, self._C), doc="The rational part, a Fraction.")
+    b = property(lambda self: Fraction(self._B, self._C), doc="The coefficient of sqrt(d), a Fraction.")
 
     # -- field arithmetic ---------------------------------------------------
 
@@ -237,7 +248,7 @@ class Surd(_Record):
     __radd__ = __add__
 
     def __neg__(self) -> "Surd":
-        return _surd(-self.a, -self.b, self.d)
+        return _from_ints(-self._A, -self._B, self._C, self.d, reduced=True)
 
     def __pos__(self) -> "Surd":
         return self
@@ -263,8 +274,7 @@ class Surd(_Record):
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        A, B, C, d = _ints(self)
-        return _quotient((C, 0), (A, B), d)
+        return _quotient((self._C, 0), (self._A, self._B), self.d)
 
     def __truediv__(self, other) -> Value:
         if (forms := _forms(self, other)) is None:
@@ -287,7 +297,7 @@ class Surd(_Record):
         return _from_ints(*power, C**n, d) if n >= 0 else _quotient((C**-n, 0), power, d)
 
     def conjugate(self) -> "Surd":
-        return _surd(self.a, -self.b, self.d)
+        return _from_ints(self._A, -self._B, self._C, self.d, reduced=True)
 
     # -- order --------------------------------------------------------------
 
@@ -312,11 +322,11 @@ Value = Fraction | Surd
 
 def _ints(v: Value | int) -> tuple[int, int, int, int]:
     """Ints (A, B, C, d), C > 0, with v = (A + B*sqrt(d))/C, B = d = 0 for a
-    Fraction or an int: the one integer form that every surd operation reads."""
-    if not isinstance(v, Surd):
-        return v.numerator, 0, v.denominator, 0
-    (p, q), (r, s) = v.a.as_integer_ratio(), v.b.as_integer_ratio()
-    return p * s, r * q, q * s, v.d
+    Fraction or an int: the one integer form that every surd operation reads,
+    a Surd's own slots."""
+    if isinstance(v, Surd):
+        return v._A, v._B, v._C, v.d
+    return v.numerator, 0, v.denominator, 0
 
 
 def _forms(s: Surd, t) -> tuple[int, ...] | None:
@@ -328,9 +338,24 @@ def _forms(s: Surd, t) -> tuple[int, ...] | None:
     return A, B, C, X, Y, Z, _field(d, e)
 
 
-def _from_ints(x: int, y: int, c: int, d: int) -> Value:
-    """(x + y*sqrt(d))/c, c != 0, as a Value: the inverse of _ints."""
-    return Fraction(x, c) if y == 0 else _surd(Fraction(x, c), Fraction(y, c), d)
+def _from_ints(x: int, y: int, c: int, d: int, reduced: bool = False) -> Value:
+    """(x + y*sqrt(d))/c, c != 0 and d squarefree, as a Value: the inverse of
+    _ints and the one builder of a Surd, a Fraction for y = 0 or d = 1.
+
+    One gcd reduces the form, the denominator first: it is often the short
+    part, as in phi_power's (L + F*sqrt(5))/2, and a short first argument
+    ends the gcd at once.  `reduced` says that
+    gcd(x, y, c) = 1 and c > 0 hold already, as after a sign flip.  The
+    checks of the constructor are skipped: arithmetic on canonical surds
+    keeps d, so it never needs to factor it again.
+    """
+    if not y or d == 1:
+        return Fraction(x + y, c)
+    g = 1 if reduced else math.gcd(c, x, y) * ((c > 0) - (c < 0))  # c = 0 divides by g = 0
+    s = object.__new__(Surd)
+    for name, n in zip(Surd.__slots__, (x // g, y // g, c // g, d)):
+        _set(s, name, n)
+    return s
 
 
 def _field(d: int, e: int) -> int:
@@ -417,24 +442,6 @@ def _ratio(v: Value) -> tuple[int, int]:
     return (norm if A > 0 else -norm) << 64, C * X
 
 
-def _surd(a: Fraction, b: Fraction, d: int) -> Surd:
-    """A Surd from parts already canonical (Fractions, b != 0, d squarefree
-    and >= 2), skipping the checks of the public constructor: arithmetic on
-    canonical surds keeps d, so it never needs to factor it again."""
-    s = object.__new__(Surd)
-    _set(s, "a", a)
-    _set(s, "b", b)
-    _set(s, "d", d)
-    return s
-
-
-def _make(a: Fraction, b: Fraction, d: int) -> Value:
-    """Assemble a + b*sqrt(d) assuming d is already squarefree."""
-    if b == 0 or d == 1:
-        return a + b
-    return _surd(a, b, d)
-
-
 def format_value(v: Value) -> str:
     """Canonical text of a Value: ``p/q`` (``p`` when whole) or ``surd(a,b,d)``."""
     if isinstance(v, Surd):
@@ -470,7 +477,8 @@ def surd_normalize(a, b, d: int) -> Value:
     if d <= 0:
         raise InvalidRadicandError("radicand must be a positive integer")
     s, core = _squarefree_decompose(d)
-    return _make(a, b * s, core)
+    (p, q), (r, t) = a.as_integer_ratio(), b.as_integer_ratio()
+    return _from_ints(p * t, r * q * s, q * t, core)
 
 
 def value_sign(x: Value) -> int:
@@ -507,4 +515,4 @@ def value_sqrt(x: Value) -> Value:
     # and cp*cq is squarefree because p and q are coprime
     sp, cp = _squarefree_decompose(x.numerator)
     sq, cq = _squarefree_decompose(x.denominator)
-    return _make(Fraction(0), Fraction(sp, sq * cq), cp * cq)
+    return _from_ints(0, sp, sq * cq, cp * cq)

@@ -166,6 +166,13 @@ def test_rootpoly_large_prime_radicand_is_quick(capsys):
     assert "cannot certify" in capsys.readouterr().err
 
 
+def test_rootpoly_n_past_a_list_length_exits_2(capsys):
+    assert run(["rootpoly", "--n", "1" + "0" * 60, "--x", "1/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: n must be less than sys.maxsize"]
+
+
 def test_rootpoly_json_cubic_has_no_roots(capsys):
     assert run(["rootpoly", "--json", "--n", "3", "--x", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -248,6 +248,14 @@ def test_root_poly_degenerate():
         root_poly(0, Fraction(2))
 
 
+def test_root_poly_refuses_n_past_a_list_length():
+    # a 60-digit n cannot size a coefficient list: a typed error that
+    # names n and not its value, before anything is allocated
+    with pytest.raises(InvalidArgumentError, match="^n must be less than") as caught:
+        root_poly(10**60, Fraction(1, 3))
+    assert "1000" not in str(caught.value)
+
+
 def test_surd_fold():
     phi = Surd(Fraction(1, 2), Fraction(1, 2), 5)
     st = fold_terms([(1, Fraction(1, 2)), (2, 1 / phi)])

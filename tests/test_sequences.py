@@ -1,6 +1,7 @@
 """Second-order recurrences: u/v pairs, Lucas numbers, golden powers."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from arctanforge import (
     uv_pair,
     value_sign,
 )
+from arctanforge.sequences import uv_coefficients
 from oracles import RecurrenceSpec, uv_closed, w_eval
 
 
@@ -154,3 +156,9 @@ def test_lucas_fibonacci_by_squaring():
     assert big * big - 5 * fibonacci(200_000) ** 2 == 4
     for m in (1023, 1024, 4097):
         assert lucas(m) ** 2 - 5 * fibonacci(m) ** 2 == 4 * (-1) ** m
+
+
+def test_uv_coefficients_refuse_n_past_a_list_length():
+    for n in (sys.maxsize, sys.maxsize + 1, 10**60):
+        with pytest.raises(InvalidArgumentError, match="^n must be less than sys.maxsize$"):
+            uv_coefficients(n)

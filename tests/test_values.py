@@ -1,8 +1,11 @@
 """Exact value layer: rationals, quadratic surds, square roots."""
 
+import copy
 import math
 import operator
+import pickle
 import random
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -15,12 +18,15 @@ from arctanforge import (
     InvalidRadicandError,
     Surd,
     UnsupportedRadicalError,
+    fold_terms,
+    odot,
+    parse_value,
     phi_power,
     surd_normalize,
     value_sign,
     value_sqrt,
 )
-from arctanforge.values import _int_text, _is_prime, _squarefree_decompose, _text_int, as_value
+from arctanforge.values import _int_text, _ints, _is_prime, _squarefree_decompose, _text_int, as_value
 from oracles import parts_arith, parts_cmp, parts_sqrt, surd_inverse, surd_power, surd_product, surd_sign
 
 
@@ -480,3 +486,84 @@ def test_decimal_text_pair_round_trip():
     assert _text_int("000") == 0
     big = Surd(Fraction(10**5000 + 1, 3), 1, 5)
     assert str(big) == "surd(1" + "0" * 4999 + "1/3,1,5)"
+
+
+# Surd(Fraction(1, 2), Fraction(-3, 4), 5) pickled with protocol 2 by the
+# release that stored the Fraction parts themselves
+_PARTS_PICKLE = (
+    b"\x80\x02carctanforge.values\nSurd\nq\x00cfractions\nFraction\nq\x01K\x01K\x02\x86q\x02Rq\x03"
+    b"h\x01J\xfd\xff\xff\xffK\x04\x86q\x04Rq\x05K\x05\x87q\x06Rq\x07."
+)
+
+
+def test_every_route_stores_one_reduced_form():
+    rng = random.Random(29)
+    surds = []
+
+    def stored(x):
+        # a surd holds (A + B*sqrt(d))/C with gcd(A, B, C) = 1 and C > 0, so
+        # it equals, and hashes as, the surd rebuilt from its views
+        if isinstance(x, Surd):
+            A, B, C, d = _ints(x)
+            assert C > 0 and math.gcd(A, B, C) == 1, x
+            twin = Surd(x.a, x.b, x.d)
+            assert x == twin and hash(x) == hash(twin), x
+            assert isinstance(x.a, Fraction) and isinstance(x.b, Fraction) and type(x.d) is int
+            surds.append(x)
+        return x
+
+    def part(den):
+        return Fraction(rng.randint(-60, 60), den * rng.randint(1, 9))
+
+    for d in (2, 3, 5, 6, 7, 10):
+        for _ in range(8):
+            # parts over unequal denominators sharing factors, so the parts'
+            # common denominator is not reduced
+            b = part(6) or Fraction(1, 4)
+            x = stored(Surd(part(4), b, d))
+            s = rng.randint(2, 6)
+            y = stored(surd_normalize(part(10), b, d * s * s))
+            assert y.d == d
+            z = stored(parse_value(f"surd({part(3)},{b},{d * s * s})"))
+            assert z.d == d
+            q = part(2) or Fraction(5, 3)
+            for u, v in ((x, y), (y, z), (x, q), (x, 7), (x, x.conjugate())):
+                for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                    stored(op(u, v))
+                    stored(op(v, u))
+            for n in (0, 1, 2, 5, -1, -4):
+                stored(x**n)
+            stored(x.inverse())
+            stored(x.conjugate())
+            stored(-x)
+            stored(value_sqrt(x * x))
+            stored(value_sqrt(d * q * q))
+            stored(odot(x, y))
+            stored(fold_terms([(rng.randint(-9, 9), x), (rng.randint(-9, 9), z)]).t)
+    assert len(surds) > 2000
+    # unequal part denominators give an unreduced common form at first
+    half = Surd(Fraction(1, 2), Fraction(1, 2), 5)
+    for twin in (Surd(Fraction(2, 4), Fraction(3, 6), 5), surd_normalize(Fraction(1, 2), Fraction(1, 4), 20)):
+        assert twin == half and hash(twin) == hash(half)
+    assert _ints(half) == (1, 1, 2, 5)
+    match half:
+        case Surd(a, b, d):
+            assert (a, b, d) == (Fraction(1, 2), Fraction(1, 2), 5)
+    assert pickle.loads(_PARTS_PICKLE) == Surd(Fraction(1, 2), Fraction(-3, 4), 5)
+
+
+def test_surd_past_the_int_str_limit_copies_pickles_and_prints():
+    p, q = 7**6000, 3**9100 + 1  # 5071 and 4342 digits
+    big = Surd(Fraction(1, p), Fraction(q, 11), 2)
+    assert copy.deepcopy(big) == big and copy.copy(big) == big
+    text = f"Surd(a=Fraction(1, {_int_text(p)}), b=Fraction({_int_text(q)}, 11), d=2)"
+    assert repr(big) == text
+    # reading the digits back needs the limit lifted, for eval and, before
+    # Python 3.11, for pickle, where a Fraction pickles through str()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert pickle.loads(pickle.dumps(big)) == big
+        assert eval(text, {"Surd": Surd, "Fraction": Fraction}) == big
+    finally:
+        sys.set_int_max_str_digits(limit)
