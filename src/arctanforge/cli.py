@@ -29,7 +29,7 @@ from .generator import (
     machin_pair,
     quad_reduce,
 )
-from .odot import OdotPolynomial, root_poly
+from .odot import NormalAngle, OdotPolynomial, root_poly
 from .textio import (
     IdentityDocument,
     _signed_sum,
@@ -169,7 +169,7 @@ def _jsonable(obj):
         return [identity_to_dict(i, a) for i, a in obj.entries]
     if isinstance(obj, Identity):
         return identity_to_dict(obj)
-    return format_value(obj)
+    return str(obj) if isinstance(obj, NormalAngle) else format_value(obj)
 
 
 def _cmd_gen(args) -> Result:
@@ -237,7 +237,7 @@ def _cmd_verify(args) -> Result:
                 "identity": ident,
                 "holds": v.holds,
                 "indeterminate": v.indeterminate,
-                "actual": None if v.actual is None else str(v.actual),
+                "actual": v.actual,
                 "residual": v.numeric_residual,
             }
         )

@@ -9,8 +9,8 @@ class InvalidArgumentError(ArctanForgeError, ValueError):
     """An argument is outside its documented domain (e.g. digits < 1)."""
 
 
-def check_int(value, name: str, least: int | None = None) -> None:
-    """Raise InvalidArgumentError unless value is an int (not a bool) >= least.
+def check_int(value, name: str, least: int | None = None) -> int:
+    """value, or InvalidArgumentError unless it is an int (not a bool) >= least.
 
     The message names the argument and its bound, never the value: an int
     past the interpreter's int-str limit cannot be formatted.
@@ -19,6 +19,7 @@ def check_int(value, name: str, least: int | None = None) -> None:
         raise InvalidArgumentError(f"{name} must be an int")
     if least is not None and value < least:
         raise InvalidArgumentError(f"{name} must be at least {least}")
+    return value
 
 
 class InvalidRadicandError(ArctanForgeError):

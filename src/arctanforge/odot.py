@@ -12,10 +12,12 @@ then add up to an integer number of half-turns:
 t = (A + B*sqrt(d))/C, C > 0, arctan(t) is the argument of
 C + i(A + B*sqrt(d)) (Todd, Amer. Math. Monthly 1949), so angles are
 Gaussian pairs over Z[sqrt(d)] with counted quarter turns
-(``values._gauss_pow``): ``n * A`` is a power, ``A + B`` a product and
-``canonical()`` the pair of t turned.  ``_angle`` reduces once, to an even
-turn count unless at a right angle, as the rule above does; n*A adds n*h.
-t = +-1 has a closed form.
+(``values._gauss_pow``).  ``fold_terms``, ``A + B`` and ``n * A`` run one
+loop, ``_fold``: one product per fold, of every term's pair raised to its
+coefficient, and one reduction, by ``_angle``, to an even turn count unless
+at a right angle, as the rule above does; the operands' h add outside.
+``canonical()`` turns the pair of t.  In a fold t = +-1 gives quarter
+turns, and ``n * A`` keeps a closed form for it.
 
 Powers under the product reduce to the u/v sequences:
 
@@ -57,7 +59,7 @@ __all__ = [
 def odot(x, y) -> Value:
     """Exact (x + y) / (1 - x*y); raises RightAngleError when x*y = 1."""
     x, y = as_value(x, "x"), as_value(y, "y")
-    return _tangent(NormalAngle(x, 0) + NormalAngle(y, 0))
+    return _tangent(_fold(((1, x), (1, y)), 0))
 
 
 def odot_pow(x, n: int) -> Value:
@@ -68,7 +70,7 @@ def odot_pow(x, n: int) -> Value:
     """
     x = as_value(x, "x")
     _check_pow_args(x, n)
-    return _tangent(n * NormalAngle(x, 0))
+    return _tangent(_fold(((n, x),), 0))
 
 
 def _tangent(angle: NormalAngle) -> Value:
@@ -134,12 +136,7 @@ class NormalAngle(_Record):
     def __add__(self, other: "NormalAngle") -> "NormalAngle":
         if not isinstance(other, NormalAngle):
             return NotImplemented
-        h = self.h + other.h
-        if self.t == 0:
-            return NormalAngle(other.t, h)
-        (A, B, C, d), (X, Y, Z, e) = _ints(self.t), _ints(other.t)
-        d = _field(d, e)
-        return _angle(*_turn(*_gauss_mul((C, 0), (A, B), (Z, 0), (X, Y), d), d), h, d)
+        return _fold(((1, self.t), (1, other.t)), self.h + other.h)
 
     def __neg__(self) -> "NormalAngle":
         return NormalAngle(-self.t, -self.h)
@@ -148,13 +145,11 @@ class NormalAngle(_Record):
         """n copies of the angle: arg((C + iT)^n) for t = T/C, plus n*h."""
         if not isinstance(n, int):
             return NotImplemented
-        A, B, C, d = _ints(self.t)
-        h, m = n * self.h, abs(n)
-        if B == 0 and abs(A) == C:  # t = +-1: (s, s*(m - 1)/2) or (0, s*m/2)
-            s, r = (A * n > 0) - (A * n < 0), m % 2
-            return NormalAngle(Fraction(s * r), s * (m - r) // 2 + h)
-        T = (A, B) if n >= 0 else (-A, -B)  # the conjugate for n < 0
-        return _angle(*_gauss_pow((C, 0), T, m, d), h, d)
+        A, B, C, _ = _ints(self.t)
+        if B == 0 and abs(A) == C:  # t = +-1: (s, s*(|n| - 1)/2) or (0, s*|n|/2)
+            s, r = (A * n > 0) - (A * n < 0), n % 2
+            return NormalAngle(Fraction(s * r), s * (abs(n) - r) // 2 + n * self.h)
+        return _fold(((n, self.t),), n * self.h)
 
     def __float__(self) -> float:
         # the canonical tangent lies in (-1, 1], so its float never overflows
@@ -176,16 +171,33 @@ def _angle(a, b, k: int, h: int, d: int) -> NormalAngle:
     return NormalAngle(_quotient(b, a, d), k + h)
 
 
+def _fold(terms, h: int) -> NormalAngle:
+    """The sum of c*arctan(t) over (c, t) terms, plus h*pi/2: the argument of
+    the product of (C + i(A + B*sqrt(d)))^c, one product per fold, turned
+    after each factor and reduced once.  Every field is checked before any
+    power.  t = +-1 gives quarter turns, as (1 +- i)^2 = +-2i, and a product
+    that is a positive real (b = 0) is dropped, as its argument is 0."""
+    forms, d = [(c, *_ints(t)) for c, t in terms], 0
+    for *_, e in forms:
+        d = _field(d, e)
+    a, b, k = (1, 0), (0, 0), 0
+    for c, A, B, C, _ in forms:
+        m, T = abs(c), ((A, B) if c >= 0 else (-A, -B))  # the conjugate for c < 0
+        if B == 0 and abs(A) == C:
+            k, m = k + T[0] * (m // 2), m % 2
+        x, y, j = _gauss_pow((C, 0), T, m, d) if m != 1 else ((C, 0), T, 0)
+        if b != (0, 0):
+            x, y = _gauss_mul(a, b, x, y, d)
+        a, b, i = _turn(x, y, d)
+        k += i + j
+    return _angle(a, b, k, h, d)
+
+
 def fold_terms(terms: Iterable[tuple[int, Value]]) -> NormalAngle:
     """Fold (coeff, arg) pairs from the zero angle: the sum of the angles
     coeff*arctan(arg), with exact right angles in the half-turn count, so
     folding is total.  One field must hold all arguments, checked first."""
-    angles, d = [], 0
-    for coeff, arg in terms:
-        check_int(coeff, "coeff")
-        angles.append((coeff, NormalAngle(as_value(arg, "arg"), 0)))
-        d = _field(d, _ints(angles[-1][1].t)[3])
-    return sum((coeff * angle for coeff, angle in angles), ZERO_ANGLE)
+    return _fold([(check_int(c, "coeff"), as_value(arg, "arg")) for c, arg in terms], 0)
 
 
 class OdotPolynomial(_Record):

@@ -20,7 +20,7 @@ signs by exact case analysis and no float, and leaves through
 ``_from_ints``, the one builder of a Surd, which reduces with one gcd.
 The Gaussian squaring loop ``_gauss_pow`` raises re + i*im to the n-th
 power with no gcd, re and im being int pairs (x, y) for x + y*sqrt(d), for
-``Surd.__pow__`` (im = 0), ``sequences.uv_pair`` and ``odot.NormalAngle``.
+``Surd.__pow__`` (im = 0), ``sequences.uv_pair`` and ``odot._fold``.
 For an angle (re > 0) ``_turn`` takes quarter turns after each product
 until -re < im <= re, h counting them, which keeps j*arg(z) =
 arg(pair) + h*pi/2 exact: squaring an argument in (-pi/4, pi/4] gives one

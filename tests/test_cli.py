@@ -18,6 +18,7 @@ import arctanforge.values as values
 from arctanforge import (
     DigitResult,
     IdentitySyntaxError,
+    NormalAngle,
     diff_identity,
     format_identity,
     golden_family,
@@ -596,3 +597,21 @@ def test_readme_command_line_examples(tmp_path, monkeypatch, capsys):
         assert out == expected, command
         seen += 1
     assert seen == 12
+
+
+def test_verify_formats_the_folded_angle_only_under_json(tmp_path, monkeypatch, capsys):
+    # text mode never prints the folded angle, so it never formats it
+    line = "1000*atan(1/7) + 300*atan(3/79) = 1/4*pi"
+    f = tmp_path / "ids.txt"
+    f.write_text(line + "\n")
+
+    def no_str(self):
+        raise AssertionError("the angle was formatted")
+
+    with monkeypatch.context() as m:
+        m.setattr(NormalAngle, "__str__", no_str)
+        assert run(["verify", "--exact", "--file", str(f)]) == 1
+    assert out_lines(capsys) == ["fails: " + line]
+    assert run(["verify", "--exact", "--json", "--file", str(f)]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["actual"] == str(verify_exact(parse_identity(line)).actual)

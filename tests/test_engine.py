@@ -587,3 +587,16 @@ def test_number_type_follows_the_working_decimals(monkeypatch):
             r = pi_digits(identity, digits)
             assert r.digits == truth[: digits + 2] and not r.unrounded, identity
             assert kinds and all(num is kind for num in kinds), (identity, digits)
+
+
+def test_a_narrowed_guard_gives_a_genuine_unrounded_run(monkeypatch):
+    # Machin's decimals 762-767 are the Feynman point's six 9s: at a narrow
+    # guard the enclosure straddles a digit boundary, so the run is flagged;
+    # the truncated digits may then be off in the last place, and are not here
+    truth = reference_decimals(761)
+    for guard in (5, 3):
+        monkeypatch.setattr(engine, "GUARD", guard)
+        result = pi_digits(MACHIN, 761)
+        assert result.unrounded and result.digits == truth, guard
+    monkeypatch.setattr(engine, "GUARD", 2)
+    assert pi_digits(MACHIN, 760).unrounded

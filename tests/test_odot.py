@@ -1,6 +1,7 @@
 """The composition product, angle folding, and composition roots."""
 
 import importlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -421,3 +422,52 @@ def test_mixed_fields_fail_before_any_power(monkeypatch):
         NormalAngle(root2, 0) + NormalAngle(root3, 0)
     with pytest.raises(UnsupportedRadicalError):
         half_turn(Surd(0, 1, 2))  # root sqrt(3) lives in another field
+
+
+def test_fold_gives_one_form_in_every_order():
+    # one product of all terms, reduced once: the form of a sum does not
+    # depend on the order of its terms, also past a right angle mid-fold
+    terms = [(1, Fraction(1, 2)), (1, Fraction(2)), (1, Fraction(1, 3))]
+    for order in itertools.permutations(terms):
+        assert fold_terms(order) == NormalAngle(Fraction(-3), 2), order
+    for order in ([(3, 1), (1, Fraction(1, 2))], [(1, Fraction(1, 2)), (3, 1)]):
+        assert fold_terms(order) == NormalAngle(Fraction(-1, 3), 2), order
+
+
+def test_fold_terms_match_left_to_right_oracle():
+    # each term by double-and-add over the tangent rule, summed left to
+    # right, against the one product; arguments 0, +-1, rationals and
+    # surds of one field per fold
+    rng = random.Random(2031)
+    fields = ([a for a in _SURD_ARGS if a.d == 3], [a for a in _SURD_ARGS if a.d == 2])
+    for _ in range(150):
+        surds = rng.choice(fields)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            pick = rng.random()
+            if pick < 0.15:
+                arg = Fraction(rng.choice((0, 1, -1)))
+            elif pick < 0.6:
+                arg = rnd_fraction(rng)
+            else:
+                arg = rng.choice(surds) * rng.choice((1, -1))
+            terms.append((rng.randint(-300, 300), arg))
+        want = NormalAngle(Fraction(0), 0)
+        for c, arg in terms:
+            want = angle_sum(want, angle_double_and_add(c, NormalAngle(arg, 0)))
+        assert fold_terms(terms).canonical() == want.canonical(), terms
+
+
+def test_fold_takes_quarter_turns_for_plus_minus_one(monkeypatch):
+    # (1 +- i)^2 = +-2i, so a huge coefficient of atan(+-1) costs no power
+    module = importlib.import_module("arctanforge.odot")
+    power = module._gauss_pow
+
+    def small_power(re, im, n, d, **kwargs):
+        assert n <= 1, "a power of 1 +- i was taken"
+        return power(re, im, n, d, **kwargs)
+
+    monkeypatch.setattr(module, "_gauss_pow", small_power)
+    angle = fold_terms([(10**18, 1), (1, Fraction(1, 2))])
+    assert angle == NormalAngle(Fraction(1, 2), 10**18 // 2)
+    assert fold_terms([(-(10**18) - 1, 1)]).to_pi_multiple() == Fraction(-(10**18) - 1, 4)

@@ -563,3 +563,12 @@ def test_sci_beyond_int_str_limit():
     # residuals of a false identity at 4400+ digits have that many digits
     assert _sci(7 * 10**4999 + 12345, 10) == "7.00000e+4989"
     assert _sci(-123456789 * 10**4991, 5000) == "-1.23456e-1"
+
+
+def test_numeric_indeterminate_at_the_hold_bound():
+    # atan(1 - 10^-43) - pi/4 is about -5e-44: just above the hold bound of
+    # 10^-45 at 50 digits and far below the noise floor, so indeterminate
+    near = ident([(1, Fraction(10**43 - 1, 10**43))], Fraction(1, 4))
+    v = verify_numeric(near, digits=50)
+    assert not v.holds and v.indeterminate
+    assert v.numeric_residual.startswith("-5.00000e-44 ")
